@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use batsolv_types::{BatchDims, OpCounts, Result, Scalar};
+use batsolv_types::{fma_kernel, BatchDims, OpCounts, Result, Scalar};
 
 use crate::pattern::SparsityPattern;
 use crate::traits::BatchMatrix;
@@ -101,6 +101,19 @@ impl<T: Scalar> BatchCsr<T> {
         &mut self.values[i * nnz..(i + 1) * nnz]
     }
 
+    /// Split into disjoint per-system mutable value slices, in system
+    /// order (for filling the batch in parallel, one system per block).
+    pub fn systems_mut(&mut self) -> impl Iterator<Item = &mut [T]> {
+        // Not `chunks_mut`: it panics on an empty pattern (`nnz == 0`).
+        let nnz = self.pattern.nnz();
+        let mut rest = self.values.as_mut_slice();
+        (0..self.dims.num_systems).map(move |_| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(nnz);
+            rest = tail;
+            head
+        })
+    }
+
     /// Read entry `(row, col)` of system `i` (zero if not stored).
     pub fn get(&self, i: usize, row: usize, col: usize) -> T {
         match self.pattern.find(row, col) {
@@ -146,6 +159,54 @@ impl<T: Scalar> BatchCsr<T> {
     }
 }
 
+fma_kernel! {
+    /// `y = A·x` for one system whose values `vals` follow the CSR
+    /// order of `ptrs`/`cols`.
+    fn spmv<T: Scalar>(ptrs: &[u32], cols: &[u32], vals: &[T], x: &[T], y: &mut [T]) {
+        // Row slices rather than indices: only the gather `x[c]` keeps
+        // a bounds check in the inner loop.
+        for (yr, w) in y.iter_mut().zip(ptrs.windows(2)) {
+            let (b, e) = (w[0] as usize, w[1] as usize);
+            let mut acc = T::ZERO;
+            for (&c, &v) in cols[b..e].iter().zip(&vals[b..e]) {
+                acc = v.mul_add(x[c as usize], acc);
+            }
+            *yr = acc;
+        }
+    }
+}
+
+/// Device-model counts of one CSR row of `nnz` entries in the
+/// warp-per-row mapping, on warps of `w` lanes.
+fn warp_row_counts(nnz: u64, w: u64) -> OpCounts {
+    let mut c = OpCounts::ZERO;
+    if nnz == 0 {
+        return c;
+    }
+    // One warp per row: load + multiply phase uses `nnz` lanes over
+    // ceil(nnz / w) passes of the warp.
+    let passes = nnz.div_ceil(w);
+    for p in 0..passes {
+        let active = (nnz - p * w).min(w);
+        c.record_lanes(active, w, 1);
+    }
+    // Warp-parallel tree reduction: active lanes halve each stage
+    // (the paper: "only 5 threads (9 divided by 2, rounded up)
+    // active in the first reduction stage").
+    let mut active = nnz.min(w).div_ceil(2);
+    while active >= 1 {
+        c.record_lanes(active, w, 1);
+        c.flops += active;
+        c.cross_warp_ops += 1; // shuffle/DPP data exchange
+        if active == 1 {
+            break;
+        }
+        active = active.div_ceil(2);
+    }
+    c.flops += 2 * nnz; // multiply-accumulate of the load phase
+    c
+}
+
 impl<T: Scalar> BatchMatrix<T> for BatchCsr<T> {
     fn dims(&self) -> BatchDims {
         self.dims
@@ -162,17 +223,13 @@ impl<T: Scalar> BatchMatrix<T> for BatchCsr<T> {
     fn spmv_system(&self, i: usize, x: &[T], y: &mut [T]) {
         debug_assert_eq!(x.len(), self.dims.num_rows);
         debug_assert_eq!(y.len(), self.dims.num_rows);
-        let vals = self.values_of(i);
-        let cols = self.pattern.col_idxs();
-        let ptrs = self.pattern.row_ptrs();
-        for r in 0..self.dims.num_rows {
-            let (b, e) = (ptrs[r] as usize, ptrs[r + 1] as usize);
-            let mut acc = T::ZERO;
-            for k in b..e {
-                acc = vals[k].mul_add(x[cols[k] as usize], acc);
-            }
-            y[r] = acc;
-        }
+        spmv(
+            self.pattern.row_ptrs(),
+            self.pattern.col_idxs(),
+            self.values_of(i),
+            x,
+            y,
+        );
     }
 
     fn spmv_system_advanced(&self, i: usize, alpha: T, x: &[T], beta: T, y: &mut [T]) {
@@ -204,35 +261,19 @@ impl<T: Scalar> BatchMatrix<T> for BatchCsr<T> {
     }
 
     fn spmv_counts(&self, warp_size: u32) -> OpCounts {
-        let mut c = OpCounts::ZERO;
-        let w = warp_size as u64;
+        // Rows of equal length cost the same: price each length once and
+        // scale it by its number of rows (integer counts, so exact).
+        let mut rows_of_len = std::collections::BTreeMap::<u64, u64>::new();
         for r in 0..self.dims.num_rows {
-            let nnz = self.pattern.nnz_in_row(r) as u64;
-            if nnz == 0 {
-                continue;
-            }
-            // One warp per row: load + multiply phase uses `nnz` lanes over
-            // ceil(nnz / w) passes of the warp.
-            let passes = nnz.div_ceil(w);
-            for p in 0..passes {
-                let active = (nnz - p * w).min(w);
-                c.record_lanes(active, w, 1);
-            }
-            // Warp-parallel tree reduction: active lanes halve each stage
-            // (the paper: "only 5 threads (9 divided by 2, rounded up)
-            // active in the first reduction stage").
-            let mut active = nnz.min(w).div_ceil(2);
-            while active >= 1 {
-                c.record_lanes(active, w, 1);
-                c.flops += active;
-                c.cross_warp_ops += 1; // shuffle/DPP data exchange
-                if active == 1 {
-                    break;
-                }
-                active = active.div_ceil(2);
-            }
-            c.flops += 2 * nnz; // multiply-accumulate of the load phase
+            *rows_of_len
+                .entry(self.pattern.nnz_in_row(r) as u64)
+                .or_default() += 1;
         }
+        let w = warp_size as u64;
+        let mut c: OpCounts = rows_of_len
+            .into_iter()
+            .map(|(nnz, rows)| warp_row_counts(nnz, w) * rows)
+            .sum();
         let nnz_total = self.pattern.nnz() as u64;
         let n = self.dims.num_rows as u64;
         let vb = T::BYTES as u64;
@@ -351,6 +392,20 @@ mod tests {
     }
 
     #[test]
+    fn systems_mut_yields_one_slice_per_system_in_order() {
+        let mut m = BatchCsr::<f64>::zeros(3, small_pattern()).unwrap();
+        for (i, vals) in m.systems_mut().enumerate() {
+            vals.iter_mut().for_each(|v| *v = i as f64);
+        }
+        for i in 0..3 {
+            assert!(m.values_of(i).iter().all(|&v| v == i as f64));
+        }
+        let empty = Arc::new(SparsityPattern::from_coords(2, &[]).unwrap());
+        let mut e = BatchCsr::<f64>::zeros(3, empty).unwrap();
+        assert_eq!(e.systems_mut().map(|s| s.len()).collect::<Vec<_>>(), [0; 3]);
+    }
+
+    #[test]
     fn replicate_copies_values() {
         let p = small_pattern();
         let vals = vec![1.0f64; p.nnz()];
@@ -371,6 +426,39 @@ mod tests {
         assert!(u < 0.45, "CSR warp utilization {u} should be poor");
         // ELL-equivalent flop count is bounded below by 2*nnz.
         assert!(c.flops as usize >= 2 * m.pattern().nnz());
+    }
+
+    #[test]
+    fn spmv_counts_match_the_row_by_row_walk() {
+        // Counts of the row-by-row walk that grouping by row length
+        // replaced, on ragged patterns and on rows longer than a warp:
+        // [flops, global bytes read, lanes active, lanes issued,
+        // cross-warp ops] at warps of 32 and 64.
+        let stencil = SparsityPattern::stencil_2d(32, 31, true);
+        let five_point = SparsityPattern::stencil_2d(7, 5, false);
+        let dense = SparsityPattern::dense(70);
+        let cases = [
+            (&stencil, 32, [27398, 175052, 18844, 154688, 3842]),
+            (&stencil, 64, [27398, 175052, 18844, 309376, 3842]),
+            (&five_point, 32, [452, 3164, 301, 3840, 85]),
+            (&five_point, 64, [452, 3164, 301, 7680, 85]),
+            (&dense, 32, [11970, 98284, 7070, 17920, 350]),
+            (&dense, 64, [14210, 98284, 9310, 35840, 420]),
+        ];
+        for (p, w, [flops, read, active, total, cross]) in cases {
+            let n = p.num_rows() as u64;
+            let m = BatchCsr::<f64>::zeros(2, Arc::new(p.clone())).unwrap();
+            let expected = OpCounts {
+                flops,
+                global_read_bytes: read,
+                global_write_bytes: 8 * n,
+                lane_active: active,
+                lane_total: total,
+                cross_warp_ops: cross,
+                ..OpCounts::ZERO
+            };
+            assert_eq!(m.spmv_counts(w), expected, "warp {w}, {n} rows");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! (dense needs `num_matrices × n²` values; the sparse formats need
 //! `num_matrices × nnz` plus one shared index structure).
 
-use batsolv_types::{BatchDims, OpCounts, Scalar};
+use batsolv_types::{fma_kernel, BatchDims, OpCounts, Scalar};
 
 use crate::csr::BatchCsr;
 use crate::traits::BatchMatrix;
@@ -97,6 +97,21 @@ impl<T: Scalar> BatchDense<T> {
     }
 }
 
+fma_kernel! {
+    /// `y = A·x` for one row-major `n × n` matrix `a`.
+    fn spmv<T: Scalar>(a: &[T], x: &[T], y: &mut [T]) {
+        let n = y.len();
+        for r in 0..n {
+            let row = &a[r * n..(r + 1) * n];
+            let mut acc = T::ZERO;
+            for c in 0..n {
+                acc = row[c].mul_add(x[c], acc);
+            }
+            y[r] = acc;
+        }
+    }
+}
+
 impl<T: Scalar> BatchMatrix<T> for BatchDense<T> {
     fn dims(&self) -> BatchDims {
         self.dims
@@ -111,16 +126,7 @@ impl<T: Scalar> BatchMatrix<T> for BatchDense<T> {
     }
 
     fn spmv_system(&self, i: usize, x: &[T], y: &mut [T]) {
-        let n = self.dims.num_rows;
-        let a = self.matrix_of(i);
-        for r in 0..n {
-            let row = &a[r * n..(r + 1) * n];
-            let mut acc = T::ZERO;
-            for c in 0..n {
-                acc = row[c].mul_add(x[c], acc);
-            }
-            y[r] = acc;
-        }
+        spmv(self.matrix_of(i), x, y);
     }
 
     fn extract_diagonal(&self, i: usize, diag: &mut [T]) {

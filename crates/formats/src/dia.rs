@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use batsolv_types::{BatchDims, Error, OpCounts, Result, Scalar};
+use batsolv_types::{fma_kernel, BatchDims, Error, OpCounts, Result, Scalar};
 
 use crate::csr::BatchCsr;
 use crate::layout::ValueLayout;
@@ -176,6 +176,53 @@ impl<T: Scalar> BatchDia<T> {
     }
 }
 
+fma_kernel! {
+    /// Column-major `y = A·x` for one system: one unit-stride pass per
+    /// diagonal, where y, the value slab, and x all advance with stride
+    /// one — the branch-light loop LLVM autovectorizes.
+    fn spmv_col_major<T: Scalar>(offsets: &[i32], slab: &[T], x: &[T], y: &mut [T]) {
+        let n = y.len();
+        y.iter_mut().for_each(|v| *v = T::ZERO);
+        for (d, &off) in offsets.iter().enumerate() {
+            let vals = &slab[d * n..(d + 1) * n];
+            // Row range for which r + off is a valid column.
+            let (r_lo, r_hi) = if off >= 0 {
+                (0usize, n - off as usize)
+            } else {
+                ((-off) as usize, n)
+            };
+            let c_lo = (r_lo as i64 + off as i64) as usize;
+            let span = r_hi - r_lo;
+            for ((yr, &v), &xc) in y[r_lo..r_hi]
+                .iter_mut()
+                .zip(&vals[r_lo..r_hi])
+                .zip(&x[c_lo..c_lo + span])
+            {
+                *yr = v.mul_add(xc, *yr);
+            }
+        }
+    }
+}
+
+fma_kernel! {
+    /// Row-major `y = A·x` for one system, row at a time over the
+    /// contiguous per-row diagonal entries; ascending-d accumulation
+    /// keeps results bitwise identical to the column-major kernel.
+    fn spmv_row_major<T: Scalar>(offsets: &[i32], slab: &[T], x: &[T], y: &mut [T]) {
+        let n = y.len();
+        for (r, (yr, vals)) in y.iter_mut().zip(slab.chunks_exact(offsets.len())).enumerate() {
+            let mut acc = T::ZERO;
+            for (&off, &v) in offsets.iter().zip(vals) {
+                let c = r as i64 + off as i64;
+                if c >= 0 && (c as usize) < n {
+                    acc = v.mul_add(x[c as usize], acc);
+                }
+            }
+            *yr = acc;
+        }
+    }
+}
+
 impl<T: Scalar> BatchMatrix<T> for BatchDia<T> {
     fn dims(&self) -> BatchDims {
         self.dims
@@ -193,50 +240,10 @@ impl<T: Scalar> BatchMatrix<T> for BatchDia<T> {
     }
 
     fn spmv_system(&self, i: usize, x: &[T], y: &mut [T]) {
-        let n = self.dims.num_rows;
-        let ndiag = self.offsets.len();
         let slab = self.values_of(i);
         match self.layout {
-            // One unit-stride pass per diagonal: y, the value slab, and x
-            // all advance with stride one — the branch-light loop LLVM
-            // autovectorizes.
-            ValueLayout::ColMajor => {
-                y.iter_mut().for_each(|v| *v = T::ZERO);
-                for (d, &off) in self.offsets.iter().enumerate() {
-                    let vals = &slab[d * n..(d + 1) * n];
-                    // Row range for which r + off is a valid column.
-                    let (r_lo, r_hi) = if off >= 0 {
-                        (0usize, n - off as usize)
-                    } else {
-                        ((-off) as usize, n)
-                    };
-                    let c_lo = (r_lo as i64 + off as i64) as usize;
-                    let span = r_hi - r_lo;
-                    for ((yr, &v), &xc) in y[r_lo..r_hi]
-                        .iter_mut()
-                        .zip(&vals[r_lo..r_hi])
-                        .zip(&x[c_lo..c_lo + span])
-                    {
-                        *yr = v.mul_add(xc, *yr);
-                    }
-                }
-            }
-            // Row-at-a-time over the contiguous per-row diagonal entries;
-            // ascending-d accumulation keeps results bitwise identical to
-            // the column-major path.
-            ValueLayout::RowMajor => {
-                let offsets = &self.offsets;
-                for (r, (yr, vals)) in y.iter_mut().zip(slab.chunks_exact(ndiag)).enumerate() {
-                    let mut acc = T::ZERO;
-                    for (&off, &v) in offsets.iter().zip(vals) {
-                        let c = r as i64 + off as i64;
-                        if c >= 0 && (c as usize) < n {
-                            acc = v.mul_add(x[c as usize], acc);
-                        }
-                    }
-                    *yr = acc;
-                }
-            }
+            ValueLayout::ColMajor => spmv_col_major(&self.offsets, slab, x, y),
+            ValueLayout::RowMajor => spmv_row_major(&self.offsets, slab, x, y),
         }
     }
 

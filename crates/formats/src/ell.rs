@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use batsolv_types::{BatchDims, Error, OpCounts, Result, Scalar};
+use batsolv_types::{fma_kernel, BatchDims, Error, OpCounts, Result, Scalar};
 
 use crate::csr::BatchCsr;
 use crate::layout::ValueLayout;
@@ -202,8 +202,9 @@ impl<T: Scalar> BatchEll<T> {
         let n = self.dims.num_rows;
         let width = self.width;
         let layout = self.layout;
-        let cols = self.col_idxs.clone();
-        let slab = self.values_of_mut(i);
+        let len = width * n;
+        let cols = &self.col_idxs;
+        let slab = &mut self.values[i * len..(i + 1) * len];
         for r in 0..n {
             for k in 0..width {
                 let idx = layout.index(n, width, r, k);
@@ -221,6 +222,45 @@ impl<T: Scalar> BatchEll<T> {
         let slots = self.width * self.dims.num_rows;
         let pad = slots - self.pattern.nnz();
         pad as f64 / slots as f64
+    }
+}
+
+fma_kernel! {
+    /// Column-major `y = A·x` for one system, in the thread-per-row
+    /// mapping: the outer k loop walks the stencil entries; for each k,
+    /// "threads" (rows) stream consecutive slots — a unit-stride zip the
+    /// compiler can vectorize.
+    fn spmv_col_major<T: Scalar>(width: usize, col_idxs: &[u32], slab: &[T], x: &[T], y: &mut [T]) {
+        let n = y.len();
+        y.iter_mut().for_each(|v| *v = T::ZERO);
+        for k in 0..width {
+            let cols = &col_idxs[k * n..(k + 1) * n];
+            let vals = &slab[k * n..(k + 1) * n];
+            for ((yr, &c), &v) in y.iter_mut().zip(cols).zip(vals) {
+                if c != ELL_PAD {
+                    *yr = v.mul_add(x[c as usize], *yr);
+                }
+            }
+        }
+    }
+}
+
+fma_kernel! {
+    /// Row-major `y = A·x` for one system, row at a time: each row's
+    /// `width` entries are contiguous. Accumulation visits k in the same
+    /// ascending order as the column-major kernel, so results are
+    /// bitwise identical.
+    fn spmv_row_major<T: Scalar>(width: usize, col_idxs: &[u32], slab: &[T], x: &[T], y: &mut [T]) {
+        let rows = col_idxs.chunks_exact(width).zip(slab.chunks_exact(width));
+        for (yr, (cols, vals)) in y.iter_mut().zip(rows) {
+            let mut acc = T::ZERO;
+            for (&c, &v) in cols.iter().zip(vals) {
+                if c != ELL_PAD {
+                    acc = v.mul_add(x[c as usize], acc);
+                }
+            }
+            *yr = acc;
+        }
     }
 }
 
@@ -243,42 +283,10 @@ impl<T: Scalar> BatchMatrix<T> for BatchEll<T> {
     fn spmv_system(&self, i: usize, x: &[T], y: &mut [T]) {
         debug_assert_eq!(x.len(), self.dims.num_rows);
         debug_assert_eq!(y.len(), self.dims.num_rows);
-        let n = self.dims.num_rows;
         let slab = self.values_of(i);
         match self.layout {
-            // Thread-per-row mapping: the outer k loop walks the stencil
-            // entries; for each k, "threads" (rows) stream consecutive
-            // slots — a unit-stride zip the compiler can vectorize.
-            ValueLayout::ColMajor => {
-                y.iter_mut().for_each(|v| *v = T::ZERO);
-                for k in 0..self.width {
-                    let cols = &self.col_idxs[k * n..(k + 1) * n];
-                    let vals = &slab[k * n..(k + 1) * n];
-                    for ((yr, &c), &v) in y.iter_mut().zip(cols).zip(vals) {
-                        if c != ELL_PAD {
-                            *yr = v.mul_add(x[c as usize], *yr);
-                        }
-                    }
-                }
-            }
-            // Row-at-a-time: each row's `width` entries are contiguous.
-            // Accumulation visits k in the same ascending order as the
-            // column-major path, so results are bitwise identical.
-            ValueLayout::RowMajor => {
-                let rows = self
-                    .col_idxs
-                    .chunks_exact(self.width)
-                    .zip(slab.chunks_exact(self.width));
-                for (yr, (cols, vals)) in y.iter_mut().zip(rows) {
-                    let mut acc = T::ZERO;
-                    for (&c, &v) in cols.iter().zip(vals) {
-                        if c != ELL_PAD {
-                            acc = v.mul_add(x[c as usize], acc);
-                        }
-                    }
-                    *yr = acc;
-                }
-            }
+            ValueLayout::ColMajor => spmv_col_major(self.width, &self.col_idxs, slab, x, y),
+            ValueLayout::RowMajor => spmv_row_major(self.width, &self.col_idxs, slab, x, y),
         }
     }
 

@@ -36,6 +36,9 @@ pub mod traits;
 pub mod tridiag;
 pub mod vectors;
 
+#[cfg(test)]
+mod fma_tests;
+
 pub use banded::BatchBanded;
 pub use csr::BatchCsr;
 pub use dense::BatchDense;

@@ -326,7 +326,11 @@ where
     blas::copy(&r, &mut r_hat);
 
     let bnorm = blas::nrm2(b);
-    let res0 = blas::nrm2(&r);
+    // ‖r‖ and the next ρ = r̂·r come from one pass over r, here and at
+    // the end of every iteration: two FMA chains, each summed as `dot`
+    // sums it, that overlap in the pipeline.
+    let (rr, mut rho_next) = blas::dot_pair(&r, &r, &r_hat, &r);
+    let res0 = rr.sqrt();
     let mut res = res0;
 
     let mut rho_prev = T::ONE;
@@ -347,14 +351,14 @@ where
         if stop.is_converged(res, res0, bnorm) {
             return finish(iter, res, true, None, logger);
         }
-        let rho = blas::dot(&r_hat, &r);
+        let rho = rho_next;
         if rho == T::ZERO || !rho.is_finite() {
             return finish(iter, res, false, Some("rho"), logger);
         }
         let beta = (rho / rho_prev) * (alpha / omega);
         // p ← r + β (p − ω v)
-        for k in 0..n {
-            p[k] = r[k] + beta * (p[k] - omega * v[k]);
+        for ((pk, &rk), &vk) in p.iter_mut().zip(&r).zip(&v) {
+            *pk = rk + beta * (*pk - omega * vk);
         }
         precond.apply(&pstate, &p, &mut p_hat);
         a.spmv_system(i, &p_hat, &mut v);
@@ -364,8 +368,8 @@ where
         }
         alpha = rho / rv;
         // s = r - α v
-        for k in 0..n {
-            s[k] = r[k] - alpha * v[k];
+        for ((sk, &rk), &vk) in s.iter_mut().zip(&r).zip(&v) {
+            *sk = rk - alpha * vk;
         }
         let snorm = blas::nrm2(&s);
         if stop.is_converged(snorm, res0, bnorm) {
@@ -375,8 +379,7 @@ where
         }
         precond.apply(&pstate, &s, &mut s_hat);
         a.spmv_system(i, &s_hat, &mut t);
-        let ts = blas::dot(&t, &s);
-        let tt = blas::dot(&t, &t);
+        let (ts, tt) = blas::dot_pair(&t, &s, &t, &t);
         if tt == T::ZERO || !tt.is_finite() {
             return finish(iter, snorm, false, Some("t.t"), logger);
         }
@@ -387,20 +390,26 @@ where
         // x ← x + α p̂ + ω ŝ ; r ← s − ω t. The fused path merges both
         // updates into one vector pass — IEEE-identical per element, so
         // the two paths produce bitwise-equal iterates.
+        let x_update = |xk: &mut T, &ph: &T, &sh: &T| *xk = *xk + alpha * ph + omega * sh;
+        let r_update = |rk: &mut T, &sk: &T, &tk: &T| *rk = sk - omega * tk;
         if fused_axpy {
-            for k in 0..n {
-                x[k] = x[k] + alpha * p_hat[k] + omega * s_hat[k];
-                r[k] = s[k] - omega * t[k];
+            let xs = x.iter_mut().zip(&p_hat).zip(&s_hat);
+            let rs = r.iter_mut().zip(&s).zip(&t);
+            for (((xk, ph), sh), ((rk, sk), tk)) in xs.zip(rs) {
+                x_update(xk, ph, sh);
+                r_update(rk, sk, tk);
             }
         } else {
-            for k in 0..n {
-                x[k] = x[k] + alpha * p_hat[k] + omega * s_hat[k];
+            for ((xk, ph), sh) in x.iter_mut().zip(&p_hat).zip(&s_hat) {
+                x_update(xk, ph, sh);
             }
-            for k in 0..n {
-                r[k] = s[k] - omega * t[k];
+            for ((rk, sk), tk) in r.iter_mut().zip(&s).zip(&t) {
+                r_update(rk, sk, tk);
             }
         }
-        res = blas::nrm2(&r);
+        let (rr, rhat_r) = blas::dot_pair(&r, &r, &r_hat, &r);
+        res = rr.sqrt();
+        rho_next = rhat_r;
         if !res.is_finite() {
             return finish(iter + 1, res, false, Some("divergence"), logger);
         }

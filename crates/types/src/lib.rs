@@ -8,12 +8,15 @@
 //!   (matrices in the collision kernel are nonsymmetric, so spectra are
 //!   complex);
 //! * [`BatchDims`] — the shape of a batch of equally-sized linear systems;
-//! * [`Error`] / [`Result`] — the common error type.
+//! * [`Error`] / [`Result`] — the common error type;
+//! * [`fma_kernel!`] — compiles a kernel with hardware fused multiply-add
+//!   next to its portable copy and picks one per call ([`fma`]).
 
 pub mod complex;
 pub mod counts;
 pub mod dims;
 pub mod error;
+pub mod fma;
 pub mod scalar;
 
 pub use complex::Complex;

@@ -55,11 +55,15 @@ pub fn assemble_matrix(
         add(pattern, values, r, r, 1.0);
     }
 
-    // A closure adding `coef * f[col]` to the flux-divergence row `row`
-    // with sign `sgn` and face measure `inv_h`: A −= dt·C, hence the
-    // minus sign on every flux contribution.
-    let mut scatter = |row: usize, col: usize, coef: f64| {
-        add(pattern, values, row, col, -coef);
+    // One face's flux F = Σ v·f[c] over `terms`: its divergence adds
+    // +F/h to row `a` and −F/h to row `b`. A −= dt·C, hence the minus
+    // sign on every contribution. Each entry sums its contributions in
+    // face order, then term order, which fixes how the sums round.
+    let mut face = |a: usize, b: usize, h: f64, terms: &[(usize, f64)]| {
+        for &(c, v) in terms {
+            add(pattern, values, a, c, -(v / h));
+            add(pattern, values, b, c, -(-v / h));
+        }
     };
 
     // --- x-faces (between (i,j) and (i+1,j)) ---
@@ -82,26 +86,32 @@ pub fn assemble_matrix(
             // annihilates every bracket (equilibrium-preserving):
             // F = dxx (∂x f + (vx−u)/T f) + dxy (∂y f + vy/T f).
             let drag_y = vy / t;
-            let through = |s: &mut dyn FnMut(usize, usize, f64)| {
-                s(left, right, dxx / hx + dxx * drag * 0.5);
-                s(left, left, -dxx / hx + dxx * drag * 0.5);
-                if dxy != 0.0 {
-                    let q = dxy / (4.0 * hy);
-                    s(left, grid.node(i, j + 1), q);
-                    s(left, grid.node(i + 1, j + 1), q);
-                    s(left, grid.node(i, j - 1), -q);
-                    s(left, grid.node(i + 1, j - 1), -q);
-                    // Matching cross drag on the face average of f.
-                    s(left, left, dxy * drag_y * 0.5);
-                    s(left, right, dxy * drag_y * 0.5);
-                }
-            };
             // Divergence: +F/hx into `left`, −F/hx into `right`.
-            let mut into_left: Vec<(usize, usize, f64)> = Vec::with_capacity(6);
-            through(&mut |r, c, v| into_left.push((r, c, v)));
-            for &(_, c, v) in &into_left {
-                scatter(left, c, v / hx);
-                scatter(right, c, -v / hx);
+            face(
+                left,
+                right,
+                hx,
+                &[
+                    (right, dxx / hx + dxx * drag * 0.5),
+                    (left, -dxx / hx + dxx * drag * 0.5),
+                ],
+            );
+            if dxy != 0.0 {
+                let q = dxy / (4.0 * hy);
+                face(
+                    left,
+                    right,
+                    hx,
+                    &[
+                        (grid.node(i, j + 1), q),
+                        (grid.node(i + 1, j + 1), q),
+                        (grid.node(i, j - 1), -q),
+                        (grid.node(i + 1, j - 1), -q),
+                        // Matching cross drag on the face average of f.
+                        (left, dxy * drag_y * 0.5),
+                        (right, dxy * drag_y * 0.5),
+                    ],
+                );
             }
         }
     }
@@ -121,23 +131,32 @@ pub fn assemble_matrix(
             };
             let drag = vy_face / t; // perpendicular drag pulls toward v⊥ = 0
             let drag_x = (vx - u) / t;
-            let mut contribs: Vec<(usize, f64)> = Vec::with_capacity(8);
-            contribs.push((top, dyy / hy + dyy * drag * 0.5));
-            contribs.push((bot, -dyy / hy + dyy * drag * 0.5));
+            face(
+                bot,
+                top,
+                hy,
+                &[
+                    (top, dyy / hy + dyy * drag * 0.5),
+                    (bot, -dyy / hy + dyy * drag * 0.5),
+                ],
+            );
             if dyx != 0.0 {
                 let q = dyx / (4.0 * hx);
-                contribs.push((grid.node(i + 1, j), q));
-                contribs.push((grid.node(i + 1, j + 1), q));
-                contribs.push((grid.node(i - 1, j), -q));
-                contribs.push((grid.node(i - 1, j + 1), -q));
-                // Matching cross drag: F_y's second bracket is
-                // dyx (∂x f + (vx−u)/T f).
-                contribs.push((bot, dyx * drag_x * 0.5));
-                contribs.push((top, dyx * drag_x * 0.5));
-            }
-            for &(c, v) in &contribs {
-                scatter(bot, c, v / hy);
-                scatter(top, c, -v / hy);
+                face(
+                    bot,
+                    top,
+                    hy,
+                    &[
+                        (grid.node(i + 1, j), q),
+                        (grid.node(i + 1, j + 1), q),
+                        (grid.node(i - 1, j), -q),
+                        (grid.node(i - 1, j + 1), -q),
+                        // Matching cross drag: F_y's second bracket is
+                        // dyx (∂x f + (vx−u)/T f).
+                        (bot, dyx * drag_x * 0.5),
+                        (top, dyx * drag_x * 0.5),
+                    ],
+                );
             }
         }
     }

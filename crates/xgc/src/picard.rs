@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use batsolv_formats::{BatchBanded, BatchCsr, BatchEll, BatchVectors, SparsityPattern};
-use batsolv_gpusim::DeviceSpec;
+use batsolv_gpusim::{run_batch_mut, DeviceSpec};
 use batsolv_solvers::direct::{BatchBandedLu, BatchSparseQr};
 use batsolv_solvers::{AbsResidual, BatchBicgstab, BatchSolveReport, Jacobi};
 use batsolv_types::{BatchDims, Result};
@@ -177,22 +177,22 @@ impl CollisionProxy {
     /// current Picard iterate: entry `2k` is mesh node `k`'s ion matrix,
     /// entry `2k+1` its electron matrix (equal counts, like the paper's
     /// evaluation batches).
+    ///
+    /// The systems are independent, so they are assembled in parallel,
+    /// each straight into its own value slab of the batch.
     pub fn assemble_combined(&self, iterate: &ProxyState) -> Result<BatchCsr<f64>> {
         let mut m = BatchCsr::zeros(2 * self.num_mesh_nodes, Arc::clone(&self.shared_pattern))?;
-        let mut vals = vec![0.0f64; self.shared_pattern.nnz()];
-        for node in 0..self.num_mesh_nodes {
-            for (s, species) in self.species.iter().enumerate() {
-                let moments = Moments::compute(&self.grid, iterate.f[s].system(node));
-                assemble_matrix(
-                    &self.grid,
-                    species,
-                    &moments,
-                    &self.shared_pattern,
-                    &mut vals,
-                );
-                m.values_of_mut(2 * node + s).copy_from_slice(&vals);
-            }
-        }
+        run_batch_mut(m.systems_mut().collect(), |k, vals| {
+            let (node, s) = (k / 2, k % 2);
+            let moments = Moments::compute(&self.grid, iterate.f[s].system(node));
+            assemble_matrix(
+                &self.grid,
+                &self.species[s],
+                &moments,
+                &self.shared_pattern,
+                vals,
+            );
+        });
         Ok(m)
     }
 

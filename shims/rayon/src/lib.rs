@@ -7,18 +7,30 @@
 //! Order is preserved by `collect`, exactly like rayon.
 //!
 //! Unlike rayon there is no work-stealing pool: each call spawns scoped
-//! threads. The workloads in this repository hand over coarse-grained
-//! items (one whole linear solve per item), so per-call thread spawn cost
-//! is negligible against the work performed.
+//! threads for all chunks but the first, which the calling thread runs.
+//! The workloads in this repository hand over coarse-grained items (one
+//! whole linear solve per item), so per-call thread spawn cost is small
+//! against the work performed.
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// Number of worker threads to use for a batch of `len` items.
 fn workers_for(len: usize) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
-    cores.min(len).max(1)
+    cores().min(len).max(1)
+}
+
+/// The host's available parallelism, read once, as rayon sizes its pool
+/// once. On Linux `available_parallelism` re-reads the cgroup quota
+/// files on every call, which would put file opens and reads on every
+/// batched launch.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Run `f` over `items` on scoped threads, preserving item order in the
@@ -47,17 +59,19 @@ where
         slots.push(items.split_off(at));
     }
     slots.reverse();
-    let mut out: Vec<Vec<R>> = Vec::with_capacity(slots.len());
+    let mut slots = slots.into_iter();
+    let first = slots.next().expect("a non-empty batch has a first chunk");
     std::thread::scope(|scope| {
         let handles: Vec<_> = slots
-            .into_iter()
             .map(|part| scope.spawn(move || part.into_iter().map(f).collect::<Vec<R>>()))
             .collect();
+        let mut out: Vec<R> = Vec::with_capacity(len);
+        out.extend(first.into_iter().map(f));
         for h in handles {
-            out.push(h.join().expect("rayon-shim worker panicked"));
+            out.extend(h.join().expect("rayon-shim worker panicked"));
         }
-    });
-    out.into_iter().flatten().collect()
+        out
+    })
 }
 
 /// A materialized parallel iterator (items are owned up front).
