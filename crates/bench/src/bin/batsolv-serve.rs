@@ -711,7 +711,7 @@ fn main() {
     }
 
     if args.compare {
-        let (base, _, ..) = drive(&workload, &args, 1, Tracer::disabled());
+        let (base, ..) = drive(&workload, &args, 1, Tracer::disabled());
         let rate = stats.completed() as f64 / stats.sim_time_total_s;
         let base_rate = base.completed() as f64 / base.sim_time_total_s;
         println!("\n--- batch target 1 (baseline) ---");

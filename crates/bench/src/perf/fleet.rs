@@ -29,6 +29,7 @@ use batsolv_types::Result;
 use batsolv_xgc::{VelocityGrid, XgcWorkload};
 
 use super::json::{obj, Json};
+use super::Metrics;
 use crate::experiments::fleet::drive;
 
 /// Shards in the perf fleet. Fixed across quick/full so the gate-metric
@@ -222,7 +223,7 @@ impl FleetSweep {
     }
 
     /// Deterministic gate metrics: the round-robin pass only.
-    pub fn gate_metrics(&self) -> (Vec<(String, f64)>, Vec<(String, f64)>) {
+    pub fn gate_metrics(&self) -> (Metrics, Metrics) {
         let mut lower = vec![
             ("fleet.makespan_ms".to_string(), self.makespan_ms),
             ("fleet.sim_total_ms".to_string(), self.sim_total_ms),

@@ -36,6 +36,9 @@ use batsolv_types::{Error, Result};
 use self::baseline::{Baseline, Regression};
 use self::json::Json;
 
+/// Named gate metrics, `(key, value)`.
+pub type Metrics = Vec<(String, f64)>;
+
 /// Median of a sample vector (microseconds); sorts in place.
 pub fn median_us(samples: &mut [f64]) -> f64 {
     assert!(!samples.is_empty(), "median of empty sample set");
@@ -103,7 +106,7 @@ impl PerfRun {
     }
 
     /// The deterministic gate metrics of this run.
-    pub fn gate_metrics(&self) -> (Vec<(String, f64)>, Vec<(String, f64)>) {
+    pub fn gate_metrics(&self) -> (Metrics, Metrics) {
         let (mut lower, mut higher) = self.solve.gate_metrics();
         lower.extend(self.spmv.gate_metrics());
         let (fleet_lower, fleet_higher) = self.fleet.gate_metrics();

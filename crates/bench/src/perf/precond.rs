@@ -36,7 +36,7 @@ use batsolv_solvers::{
 use batsolv_types::Result;
 
 use super::json::{obj, Json};
-use super::median_us;
+use super::{median_us, Metrics};
 
 const MAX_ITERS: usize = 300;
 const TOL: f64 = 1e-8;
@@ -264,7 +264,7 @@ impl PrecondSweep {
     /// Deterministic metrics for the regression gate. Iteration counts,
     /// sync totals, and per-apply pricing are all exact replays of the
     /// device model, so they gate at the default tolerance.
-    pub fn gate_metrics(&self) -> (Vec<(String, f64)>, Vec<(String, f64)>) {
+    pub fn gate_metrics(&self) -> (Metrics, Metrics) {
         let mut lower = Vec::new();
         let mut higher = Vec::new();
         for c in &self.cells {

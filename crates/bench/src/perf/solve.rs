@@ -32,7 +32,7 @@ use batsolv_types::{Error, Result};
 use batsolv_xgc::{VelocityGrid, XgcWorkload};
 
 use super::json::{obj, Json};
-use super::median_us;
+use super::{median_us, Metrics};
 
 /// One measured (solver, mode, batch) cell.
 #[derive(Clone, Debug)]
@@ -128,21 +128,27 @@ fn cell_from_report(
     }
 }
 
-fn run_one<S, M>(
-    device: &DeviceSpec,
+/// The device, executor mode and repetitions of one timed cell.
+struct Runs<'a> {
+    device: &'a DeviceSpec,
     mode: ExecMode,
+    reps: usize,
+}
+
+fn run_one<S, M>(
+    runs: Runs<'_>,
     label: &'static str,
     matrix: &'static str,
     solver: &S,
     a: &M,
     rhs: &BatchVectors<f64>,
     guess: &BatchVectors<f64>,
-    reps: usize,
 ) -> Result<SolveCell>
 where
     S: IterativeSolver<f64>,
     M: BatchMatrix<f64>,
 {
+    let Runs { device, mode, reps } = runs;
     let executor = BatchExecutor::new(device.clone(), mode);
     let mut samples = Vec::with_capacity(reps);
     let mut last = None;
@@ -230,7 +236,13 @@ fn run_variants(
         ($name:literal, $matrix:literal, $solver:expr, $a:expr, $rhs:expr, $guess:expr) => {
             if want($name) {
                 cells.push(run_one(
-                    device, mode, $name, $matrix, &$solver, $a, $rhs, $guess, reps,
+                    Runs { device, mode, reps },
+                    $name,
+                    $matrix,
+                    &$solver,
+                    $a,
+                    $rhs,
+                    $guess,
                 )?);
             }
         };
@@ -241,7 +253,7 @@ fn run_variants(
     variant!(
         "bicgstab",
         "xgc",
-        BatchBicgstab::new(Jacobi, stop.clone()).with_max_iters(MAX_ITERS),
+        BatchBicgstab::new(Jacobi, stop).with_max_iters(MAX_ITERS),
         ell,
         &w.rhs,
         &w.warm_guess
@@ -249,7 +261,7 @@ fn run_variants(
     variant!(
         "bicgstab-fused",
         "xgc",
-        BatchBicgstab::new(Jacobi, stop.clone())
+        BatchBicgstab::new(Jacobi, stop)
             .with_max_iters(MAX_ITERS)
             .with_fused_axpy(true),
         ell,
@@ -259,7 +271,7 @@ fn run_variants(
     variant!(
         "pipelined-bicgstab",
         "xgc",
-        batsolv_solvers::PipelinedBicgstab::new(Jacobi, stop.clone()).with_max_iters(MAX_ITERS),
+        batsolv_solvers::PipelinedBicgstab::new(Jacobi, stop).with_max_iters(MAX_ITERS),
         ell,
         &w.rhs,
         &w.warm_guess
@@ -267,7 +279,7 @@ fn run_variants(
     variant!(
         "cgs",
         "xgc",
-        BatchCgs::new(Jacobi, stop.clone()).with_max_iters(MAX_ITERS),
+        BatchCgs::new(Jacobi, stop).with_max_iters(MAX_ITERS),
         ell,
         &w.rhs,
         &w.warm_guess
@@ -275,7 +287,7 @@ fn run_variants(
     variant!(
         "gmres",
         "xgc",
-        BatchGmres::new(Jacobi, stop.clone(), 30).with_max_iters(MAX_ITERS),
+        BatchGmres::new(Jacobi, stop, 30).with_max_iters(MAX_ITERS),
         ell,
         &w.rhs,
         &w.warm_guess
@@ -283,7 +295,7 @@ fn run_variants(
     variant!(
         "richardson",
         "xgc",
-        BatchRichardson::new(Jacobi, stop.clone(), 0.8).with_max_iters(MAX_ITERS),
+        BatchRichardson::new(Jacobi, stop, 0.8).with_max_iters(MAX_ITERS),
         ell,
         &w.rhs,
         &w.warm_guess
@@ -299,7 +311,7 @@ fn run_variants(
         variant!(
             "cg",
             "spd-stencil",
-            BatchCg::new(Jacobi, stop.clone()).with_max_iters(MAX_ITERS),
+            BatchCg::new(Jacobi, stop).with_max_iters(MAX_ITERS),
             &spd,
             &rhs,
             &guess
@@ -307,7 +319,7 @@ fn run_variants(
         variant!(
             "pipelined-cg",
             "spd-stencil",
-            batsolv_solvers::PipelinedCg::new(Jacobi, stop.clone()).with_max_iters(MAX_ITERS),
+            batsolv_solvers::PipelinedCg::new(Jacobi, stop).with_max_iters(MAX_ITERS),
             &spd,
             &rhs,
             &guess
@@ -357,41 +369,31 @@ pub fn run(device: &DeviceSpec, quick: bool, solver_filter: Option<&str>) -> Res
 
     let mut pairs = Vec::new();
     for &batch in pair_batches {
-        let w = XgcWorkload::generate(grid.clone(), batch / 2, 99)?;
+        let w = XgcWorkload::generate(grid, batch / 2, 99)?;
         let ell = w.ell()?;
         let solver = BatchBicgstab::new(Jacobi, RelResidual::new(TOL)).with_max_iters(MAX_ITERS);
-        let sequential = run_one(
-            device,
-            ExecMode::Sequential,
-            "bicgstab",
-            "xgc",
-            &solver,
-            &ell,
-            &w.rhs,
-            &w.warm_guess,
-            reps,
-        )?;
-        let concurrent = run_one(
-            device,
-            ExecMode::Concurrent,
-            "bicgstab",
-            "xgc",
-            &solver,
-            &ell,
-            &w.rhs,
-            &w.warm_guess,
-            reps,
-        )?;
+        let cell = |mode| {
+            let runs = Runs { device, mode, reps };
+            run_one(
+                runs,
+                "bicgstab",
+                "xgc",
+                &solver,
+                &ell,
+                &w.rhs,
+                &w.warm_guess,
+            )
+        };
         pairs.push(SolvePair {
-            sequential,
-            concurrent,
+            sequential: cell(ExecMode::Sequential)?,
+            concurrent: cell(ExecMode::Concurrent)?,
         });
     }
 
     let variant_reps = if quick { 2 } else { 3 };
     let mut variants = Vec::new();
     for &batch in variant_batches {
-        let w = XgcWorkload::generate(grid.clone(), batch / 2, 99)?;
+        let w = XgcWorkload::generate(grid, batch / 2, 99)?;
         let ell = w.ell()?;
         variants.extend(run_variants(device, &ell, &w, variant_reps, solver_filter)?);
     }
@@ -471,7 +473,7 @@ impl SolveSweep {
     }
 
     /// Deterministic metrics for the regression gate.
-    pub fn gate_metrics(&self) -> (Vec<(String, f64)>, Vec<(String, f64)>) {
+    pub fn gate_metrics(&self) -> (Metrics, Metrics) {
         let mut lower = Vec::new();
         let mut higher = Vec::new();
         for p in &self.pairs {

@@ -15,7 +15,7 @@ use batsolv_types::Result;
 use batsolv_xgc::{VelocityGrid, XgcWorkload};
 
 use super::json::{obj, Json};
-use super::median_us;
+use super::{median_us, Metrics};
 
 /// One measured (format, layout, batch) cell.
 #[derive(Clone, Debug)]
@@ -118,7 +118,7 @@ pub fn run(device: &DeviceSpec, quick: bool) -> Result<SpmvSweep> {
     let rows = grid.num_nodes();
     let mut cells = Vec::new();
     for &batch in batches {
-        let w = XgcWorkload::generate(grid.clone(), batch / 2, 1234)?;
+        let w = XgcWorkload::generate(grid, batch / 2, 1234)?;
         let csr: &BatchCsr<f64> = &w.matrices;
         let dims = csr.dims();
         let x = BatchVectors::from_fn(dims, |s, r| ((s * 31 + r) as f64 * 0.0137).sin());
@@ -168,7 +168,7 @@ impl SpmvSweep {
 
     /// Deterministic (simulated) metrics for the regression gate, keyed
     /// `spmv.<format>.b<batch>.sim_us` — lower is better.
-    pub fn gate_metrics(&self) -> Vec<(String, f64)> {
+    pub fn gate_metrics(&self) -> Metrics {
         self.cells
             .iter()
             .map(|c| (format!("spmv.{}.b{}.sim_us", c.key, c.batch), c.sim_us))

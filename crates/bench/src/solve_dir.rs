@@ -137,8 +137,10 @@ mod tests {
     #[test]
     fn rejects_unknown_method_and_device() {
         let dir = write_workload("bad");
-        let mut opts = SolveDirOptions::default();
-        opts.method = "magic".into();
+        let opts = SolveDirOptions {
+            method: "magic".into(),
+            ..Default::default()
+        };
         assert!(solve_directory(&dir, &opts).is_err());
         assert!(device_by_name("tpu").is_err());
         let _ = std::fs::remove_dir_all(&dir);

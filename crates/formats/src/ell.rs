@@ -185,6 +185,14 @@ impl<T: Scalar> BatchEll<T> {
         &mut self.values[i * slab..(i + 1) * slab]
     }
 
+    /// Split into disjoint per-system mutable value slabs, in system
+    /// order (for filling the batch in parallel, one system per block).
+    pub fn systems_mut(&mut self) -> impl Iterator<Item = &mut [T]> {
+        // A slab is never empty: the width and the row count are non-zero.
+        self.values
+            .chunks_exact_mut(self.width * self.dims.num_rows)
+    }
+
     /// Read entry `(row, col)` of system `i` (zero if not stored).
     pub fn get(&self, i: usize, row: usize, col: usize) -> T {
         let n = self.dims.num_rows;
@@ -379,6 +387,21 @@ mod tests {
             });
         }
         m
+    }
+
+    #[test]
+    fn systems_mut_yields_one_slab_per_system_in_order() {
+        for layout in [ValueLayout::ColMajor, ValueLayout::RowMajor] {
+            let mut m = BatchEll::from_csr_in(&stencil_csr(5, 4), layout).unwrap();
+            let slabs: Vec<usize> = m.systems_mut().map(|s| s.len()).collect();
+            assert_eq!(slabs, [m.width() * 20; 2]);
+            for (i, slab) in m.systems_mut().enumerate() {
+                slab.iter_mut().for_each(|v| *v = i as f64);
+            }
+            for i in 0..2 {
+                assert!(m.values_of(i).iter().all(|&v| v == i as f64));
+            }
+        }
     }
 
     #[test]

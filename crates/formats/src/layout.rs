@@ -79,7 +79,7 @@ mod tests {
         }
         assert!(seen_col.iter().all(|&s| s));
         assert!(seen_row.iter().all(|&s| s));
-        assert_eq!(ValueLayout::ColMajor.index(n, w, 2, 1), 1 * n + 2);
+        assert_eq!(ValueLayout::ColMajor.index(n, w, 2, 1), n + 2);
         assert_eq!(ValueLayout::RowMajor.index(n, w, 2, 1), 2 * w + 1);
     }
 

@@ -204,7 +204,6 @@ fn chaos_matrix_exactly_one_outcome_per_request() {
         panic: 0.10,
         device_fail: 0.10,
         queue_delay: 0.02,
-        ..Default::default()
     };
     let scenarios: [(&str, FaultRates, bool); 4] = [
         ("poison-admitted", poison, false),
@@ -662,7 +661,7 @@ fn ilu0_factorization_breakdown_falls_down_the_ladder() {
     };
     for &batch in &[1usize, 16] {
         let count = 48;
-        let plan = FaultPlan::new(0x110_0 ^ batch as u64, rates);
+        let plan = FaultPlan::new(0x1100 ^ batch as u64, rates);
         let run = run_chaos_with(&plan, batch, count, false, PrecondVariant::Ilu0);
         assert_invariants(&run, count);
         assert!(run.rejected.is_empty(), "admission gate was disabled");

@@ -104,9 +104,9 @@ mod tests {
         let b = BatchVectors::from_fn(m.dims(), |_, r| 1.0 + r as f64 * 0.01);
         let stop = RelResidual::new(1e-10);
 
-        let bicg = BatchBicgstab::new(Jacobi, stop.clone());
-        let cg = BatchCg::new(Jacobi, stop.clone());
-        let gmres = BatchGmres::new(Jacobi, stop.clone(), 20);
+        let bicg = BatchBicgstab::new(Jacobi, stop);
+        let cg = BatchCg::new(Jacobi, stop);
+        let gmres = BatchGmres::new(Jacobi, stop, 20);
         assert_eq!(IterativeSolver::<f64>::name(&bicg), "bicgstab");
         assert_eq!(IterativeSolver::<f64>::name(&cg), "cg");
         assert_eq!(IterativeSolver::<f64>::name(&gmres), "gmres");

@@ -494,7 +494,7 @@ mod tests {
         assert_eq!(hs.len(), 1);
         let h = &hs[0];
         assert!(h.converged);
-        assert_eq!(h.iterations, rep.max_iterations() as u32);
+        assert_eq!(h.iterations, rep.max_iterations());
         // Each restart recomputes r = b - A x and logs it under the same
         // iteration number as the last inner estimate.
         assert!(h.has_restart_boundary(), "{:?}", h.residuals);

@@ -188,7 +188,7 @@ where
 fn bicgstab_fused_axpy_is_bitwise_identical() {
     let stop = RelResidual::new(1e-10);
     assert_fused_axpy_is_bitwise_identical(
-        &BatchBicgstab::new(Jacobi, stop.clone()),
+        &BatchBicgstab::new(Jacobi, stop),
         &BatchBicgstab::new(Jacobi, stop).with_fused_axpy(true),
         &batch(42),
     );
@@ -198,7 +198,7 @@ fn bicgstab_fused_axpy_is_bitwise_identical() {
 fn cg_fused_axpy_is_bitwise_identical() {
     let stop = RelResidual::new(1e-10);
     assert_fused_axpy_is_bitwise_identical(
-        &BatchCg::new(Jacobi, stop.clone()),
+        &BatchCg::new(Jacobi, stop),
         &BatchCg::new(Jacobi, stop).with_fused_axpy(true),
         &spd_batch(42),
     );
@@ -325,7 +325,7 @@ fn identity_precond_matches_unpreconditioned_bitwise() {
     let stop = RelResidual::new(1e-10);
 
     let mut x_id = BatchVectors::zeros(m.dims());
-    let rep_id = BatchBicgstab::new(Identity, stop.clone())
+    let rep_id = BatchBicgstab::new(Identity, stop)
         .solve_batch(&device, &m, &b, &mut x_id)
         .unwrap();
     let mut x_j = BatchVectors::zeros(m.dims());
@@ -350,19 +350,19 @@ where
     P: Preconditioner<f64> + 'static,
 {
     let stop = RelResidual::new(1e-10);
-    assert_fused_matches_sequential(&BatchBicgstab::new(precond.clone(), stop.clone()));
+    assert_fused_matches_sequential(&BatchBicgstab::new(precond.clone(), stop));
     assert_fused_matches_sequential(
-        &BatchBicgstab::new(precond.clone(), stop.clone()).with_fused_axpy(true),
+        &BatchBicgstab::new(precond.clone(), stop).with_fused_axpy(true),
     );
-    assert_fused_matches_sequential(&BatchCgs::new(precond.clone(), stop.clone()));
-    assert_fused_matches_sequential(&BatchGmres::new(precond.clone(), stop.clone(), 25));
-    assert_fused_matches_sequential(&PipelinedBicgstab::new(precond.clone(), stop.clone()));
+    assert_fused_matches_sequential(&BatchCgs::new(precond.clone(), stop));
+    assert_fused_matches_sequential(&BatchGmres::new(precond.clone(), stop, 25));
+    assert_fused_matches_sequential(&PipelinedBicgstab::new(precond.clone(), stop));
     assert_fused_matches_sequential(&BatchRichardson::new(
         precond.clone(),
         RelResidual::new(1e-8),
         0.08,
     ));
-    assert_fused_matches_sequential(&BatchCg::new(precond.clone(), stop.clone()));
+    assert_fused_matches_sequential(&BatchCg::new(precond.clone(), stop));
     assert_fused_matches_sequential(&PipelinedCg::new(precond, stop));
 }
 

@@ -312,7 +312,7 @@ fn rhs_dims(dims: batsolv_types::BatchDims) -> BatchVectors<f64> {
 fn pipelined_bicgstab_is_equivalent_to_classical() {
     let stop = RelResidual::new(1e-10);
     run_pipelined_relation(
-        &BatchBicgstab::new(Jacobi, stop.clone()),
+        &BatchBicgstab::new(Jacobi, stop),
         &PipelinedBicgstab::new(Jacobi, stop),
         &batch(31),
     );
@@ -322,7 +322,7 @@ fn pipelined_bicgstab_is_equivalent_to_classical() {
 fn pipelined_cg_is_equivalent_to_classical() {
     let stop = RelResidual::new(1e-10);
     run_pipelined_relation(
-        &BatchCg::new(Jacobi, stop.clone()),
+        &BatchCg::new(Jacobi, stop),
         &PipelinedCg::new(Jacobi, stop),
         &spd_batch(31),
     );
@@ -334,7 +334,7 @@ fn pipelined_cg_is_equivalent_to_classical() {
 fn pipelined_equivalence_holds_on_ell_column_major() {
     let stop = RelResidual::new(1e-10);
     run_pipelined_relation(
-        &BatchBicgstab::new(Jacobi, stop.clone()),
+        &BatchBicgstab::new(Jacobi, stop),
         &PipelinedBicgstab::new(Jacobi, stop),
         &BatchEll::from_csr(&batch(31)).unwrap(),
     );

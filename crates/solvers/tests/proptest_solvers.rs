@@ -206,7 +206,7 @@ proptest! {
         };
         let stop = RelResidual::new(1e-8);
         let mut x0 = BatchVectors::zeros(m.dims());
-        let base = BatchBicgstab::new(Identity, stop.clone())
+        let base = BatchBicgstab::new(Identity, stop)
             .solve_batch(&device, &m, &b, &mut x0)
             .unwrap();
         let base_iters = iters(&base);

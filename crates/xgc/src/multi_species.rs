@@ -10,10 +10,10 @@
 //! the GPU at proportionally fewer mesh nodes — which is precisely why
 //! the batched-solver design matters for the production application.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use batsolv_formats::{BatchCsr, BatchEll, BatchVectors, SparsityPattern};
-use batsolv_gpusim::DeviceSpec;
+use batsolv_formats::{BatchEll, BatchVectors, SparsityPattern};
+use batsolv_gpusim::{run_batch_mut, DeviceSpec};
 use batsolv_solvers::{AbsResidual, BatchBicgstab, Jacobi};
 use batsolv_types::{BatchDims, Error, Result};
 use rand::rngs::StdRng;
@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::grid::VelocityGrid;
 use crate::moments::Moments;
-use crate::operator_assembly::assemble_matrix;
+use crate::operator_assembly::ScatterPlan;
 use crate::picard::IterStats;
 use crate::species::Species;
 
@@ -40,6 +40,8 @@ pub struct MultiSpeciesProxy {
     /// Spatial mesh nodes.
     pub num_mesh_nodes: usize,
     pattern: Arc<SparsityPattern>,
+    /// Scatter plan into ELL slabs, recorded on first use.
+    plan: OnceLock<ScatterPlan>,
 }
 
 /// Distribution functions: one [`BatchVectors`] per species.
@@ -87,6 +89,7 @@ impl MultiSpeciesProxy {
             tolerance: 1e-10,
             num_mesh_nodes,
             pattern: Arc::new(grid.stencil_pattern()),
+            plan: OnceLock::new(),
         }
     }
 
@@ -150,20 +153,16 @@ impl MultiSpeciesProxy {
         let mut iterate = state.clone();
         let mut linear_iters = Vec::new();
         let mut total_time = 0.0;
-        let mut vals = vec![0.0f64; self.pattern.nnz()];
+        let mut ell = BatchEll::zeros(total, Arc::clone(&self.pattern))?;
+        let plan = self.plan.get_or_init(|| ScatterPlan::ell(&self.grid, &ell));
         for _ in 0..self.picard_iterations {
-            // Assemble the combined batch from the current iterate.
-            let mut matrices = BatchCsr::zeros(total, Arc::clone(&self.pattern))?;
-            for node in 0..self.num_mesh_nodes {
-                for (s, species) in self.species.iter().enumerate() {
-                    let m = Moments::compute(&self.grid, iterate.f[s].system(node));
-                    assemble_matrix(&self.grid, species, &m, &self.pattern, &mut vals);
-                    matrices
-                        .values_of_mut(node * nsp + s)
-                        .copy_from_slice(&vals);
-                }
-            }
-            let ell = BatchEll::from_csr(&matrices)?;
+            // Assemble the combined batch from the current iterate, one
+            // system per block, straight into the ELL slabs.
+            run_batch_mut(ell.systems_mut().collect(), |k, slab| {
+                let (node, s) = (k / nsp, k % nsp);
+                let m = Moments::compute(&self.grid, iterate.f[s].system(node));
+                plan.assemble(&self.species[s], &m, slab);
+            });
             let mut x = self.interleave(&iterate, dims)?; // warm start
             let report = solver.solve(device, &ell, &f_n, &mut x)?;
             total_time += report.time_s();

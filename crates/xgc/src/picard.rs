@@ -8,7 +8,7 @@
 //! systems this whole library exists for — one matrix per (mesh node,
 //! species), all sharing the nine-point pattern.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use batsolv_formats::{BatchBanded, BatchCsr, BatchEll, BatchVectors, SparsityPattern};
 use batsolv_gpusim::{run_batch_mut, DeviceSpec};
@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::grid::VelocityGrid;
 use crate::moments::Moments;
-use crate::operator_assembly::assemble_matrix;
+use crate::operator_assembly::ScatterPlan;
 use crate::species::Species;
 
 /// Which linear solver + format the Picard loop uses.
@@ -118,6 +118,10 @@ pub struct CollisionProxy {
     /// Number of spatial mesh nodes in the batch.
     pub num_mesh_nodes: usize,
     shared_pattern: Arc<SparsityPattern>,
+    /// Scatter plans into CSR values and into ELL slabs, each recorded
+    /// on first use (a proxy that never assembles never pays for one).
+    csr_plan: OnceLock<ScatterPlan>,
+    ell_plan: OnceLock<ScatterPlan>,
 }
 
 impl CollisionProxy {
@@ -131,6 +135,8 @@ impl CollisionProxy {
             tolerance: 1e-10,
             num_mesh_nodes,
             shared_pattern,
+            csr_plan: OnceLock::new(),
+            ell_plan: OnceLock::new(),
         }
     }
 
@@ -182,18 +188,30 @@ impl CollisionProxy {
     /// each straight into its own value slab of the batch.
     pub fn assemble_combined(&self, iterate: &ProxyState) -> Result<BatchCsr<f64>> {
         let mut m = BatchCsr::zeros(2 * self.num_mesh_nodes, Arc::clone(&self.shared_pattern))?;
-        run_batch_mut(m.systems_mut().collect(), |k, vals| {
+        let plan = self
+            .csr_plan
+            .get_or_init(|| ScatterPlan::csr(&self.grid, &self.shared_pattern));
+        self.assemble_into(plan, iterate, m.systems_mut().collect());
+        Ok(m)
+    }
+
+    /// [`Self::assemble_combined`] straight into the value slabs of a
+    /// column-major ELL batch over the shared pattern.
+    fn assemble_combined_ell(&self, iterate: &ProxyState, ell: &mut BatchEll<f64>) {
+        let plan = self
+            .ell_plan
+            .get_or_init(|| ScatterPlan::ell(&self.grid, ell));
+        self.assemble_into(plan, iterate, ell.systems_mut().collect());
+    }
+
+    /// Assemble the interleaved batch into `slabs` through `plan`, one
+    /// system per block.
+    fn assemble_into(&self, plan: &ScatterPlan, iterate: &ProxyState, slabs: Vec<&mut [f64]>) {
+        run_batch_mut(slabs, |k, slab| {
             let (node, s) = (k / 2, k % 2);
             let moments = Moments::compute(&self.grid, iterate.f[s].system(node));
-            assemble_matrix(
-                &self.grid,
-                &self.species[s],
-                &moments,
-                &self.shared_pattern,
-                vals,
-            );
+            plan.assemble(&self.species[s], &moments, slab);
         });
-        Ok(m)
     }
 
     /// Interleave the two species' distributions into one combined batch
@@ -246,14 +264,15 @@ impl CollisionProxy {
         let mut iterate = state.clone();
         let mut records = Vec::with_capacity(self.picard_iterations);
         let mut total_time = 0.0;
+        // BicgstabEll's sweeps all assemble into this one batch.
+        let mut ell = None;
         for _ in 0..self.picard_iterations {
-            let matrices = self.assemble_combined(&iterate)?;
             let mut x = if warm_start {
                 self.interleave(&iterate)
             } else {
                 BatchVectors::zeros(f_n.dims())
             };
-            let report = self.linear_solve(device, solver, &matrices, &f_n, &mut x)?;
+            let report = self.sweep_solve(device, solver, &iterate, &mut ell, &f_n, &mut x)?;
             total_time += report.time_s();
             let new_state = self.deinterleave(&x);
             let increment = [
@@ -282,29 +301,40 @@ impl CollisionProxy {
         })
     }
 
-    /// Dispatch one combined batched linear solve.
-    fn linear_solve(
+    /// One sweep's batch, assembled from `iterate` and solved with
+    /// `solver`. `BicgstabEll` fills `ell` in place, allocating it on the
+    /// first sweep; the other solvers assemble a fresh CSR batch.
+    fn sweep_solve(
         &self,
         device: &DeviceSpec,
         solver: SolverKind,
-        matrices: &BatchCsr<f64>,
+        iterate: &ProxyState,
+        ell: &mut Option<BatchEll<f64>>,
         rhs: &BatchVectors<f64>,
         x: &mut BatchVectors<f64>,
     ) -> Result<BatchSolveReport> {
+        let bicgstab = BatchBicgstab::new(Jacobi, AbsResidual::new(self.tolerance));
         match solver {
-            SolverKind::BicgstabCsr => BatchBicgstab::new(Jacobi, AbsResidual::new(self.tolerance))
-                .solve(device, matrices, rhs, x),
             SolverKind::BicgstabEll => {
-                let ell = BatchEll::from_csr(matrices)?;
-                BatchBicgstab::new(Jacobi, AbsResidual::new(self.tolerance))
-                    .solve(device, &ell, rhs, x)
+                let ell = match ell {
+                    Some(ell) => ell,
+                    None => ell.insert(BatchEll::zeros(
+                        2 * self.num_mesh_nodes,
+                        Arc::clone(&self.shared_pattern),
+                    )?),
+                };
+                self.assemble_combined_ell(iterate, ell);
+                bicgstab.solve(device, ell, rhs, x)
+            }
+            SolverKind::BicgstabCsr => {
+                bicgstab.solve(device, &self.assemble_combined(iterate)?, rhs, x)
             }
             SolverKind::Dgbsv => {
-                let banded = BatchBanded::from_csr(matrices)?;
+                let banded = BatchBanded::from_csr(&self.assemble_combined(iterate)?)?;
                 BatchBandedLu.solve(device, &banded, rhs, x)
             }
             SolverKind::SparseQr => {
-                let banded = BatchBanded::from_csr(matrices)?;
+                let banded = BatchBanded::from_csr(&self.assemble_combined(iterate)?)?;
                 BatchSparseQr.solve(device, &banded, rhs, x)
             }
         }

@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::grid::VelocityGrid;
 use crate::moments::Moments;
-use crate::operator_assembly::assemble_matrix;
+use crate::operator_assembly::ScatterPlan;
 use crate::species::Species;
 
 /// A ready-to-solve linear-system batch in the paper's evaluation shape.
@@ -39,8 +39,7 @@ pub struct XgcWorkload {
 impl XgcWorkload {
     /// Generate a combined batch of `num_pairs` (ion, electron) systems.
     pub fn generate(grid: VelocityGrid, num_pairs: usize, seed: u64) -> Result<XgcWorkload> {
-        let pattern = Arc::new(grid.stencil_pattern());
-        Self::generate_with(grid, pattern, num_pairs, seed, &Species::xgc_pair())
+        Self::generate_with(grid, num_pairs, seed, &Species::xgc_pair())
     }
 
     /// Generate a single-species batch (`Figure 9`'s ion-only and
@@ -51,13 +50,11 @@ impl XgcWorkload {
         num_systems: usize,
         seed: u64,
     ) -> Result<XgcWorkload> {
-        let pattern = Arc::new(grid.stencil_pattern());
-        Self::generate_with(grid, pattern, num_systems, seed, &[species])
+        Self::generate_with(grid, num_systems, seed, &[species])
     }
 
     fn generate_with(
         grid: VelocityGrid,
-        pattern: Arc<SparsityPattern>,
         groups: usize,
         seed: u64,
         lineup: &[Species],
@@ -66,25 +63,25 @@ impl XgcWorkload {
         let per_group = lineup.len();
         let total = groups * per_group;
         let dims = BatchDims::new(total, grid.num_nodes())?;
-        let mut matrices = BatchCsr::zeros(total, Arc::clone(&pattern))?;
+        let pattern = Arc::new(grid.stencil_pattern());
+        let plan = ScatterPlan::csr(&grid, &pattern);
+        let mut matrices = BatchCsr::zeros(total, pattern)?;
         let mut rhs = BatchVectors::zeros(dims);
         let mut species_of = Vec::with_capacity(total);
-        let mut vals = vec![0.0f64; pattern.nnz()];
         for g in 0..groups {
-            // Node-local plasma conditions, shared by both species at
+            // Node-local plasma conditions, shared by every species at
             // this mesh node.
             let n0: f64 = 0.8 + 0.4 * rng.gen::<f64>();
             let u0: f64 = -0.3 + 0.6 * rng.gen::<f64>();
             let t0: f64 = 0.85 + 0.3 * rng.gen::<f64>();
+            // RHS: the old-time distribution with a beam bump.
+            let main = grid.maxwellian(n0, u0, t0);
+            let bump = grid.maxwellian(0.25 * n0, u0 + 1.2, 0.4 * t0);
+            let f: Vec<f64> = main.iter().zip(bump.iter()).map(|(a, b)| a + b).collect();
+            let moments = Moments::compute(&grid, &f);
             for (s, species) in lineup.iter().enumerate() {
                 let idx = g * per_group + s;
-                // RHS: the old-time distribution with a beam bump.
-                let main = grid.maxwellian(n0, u0, t0);
-                let bump = grid.maxwellian(0.25 * n0, u0 + 1.2, 0.4 * t0);
-                let f: Vec<f64> = main.iter().zip(bump.iter()).map(|(a, b)| a + b).collect();
-                let moments = Moments::compute(&grid, &f);
-                assemble_matrix(&grid, species, &moments, &pattern, &mut vals);
-                matrices.values_of_mut(idx).copy_from_slice(&vals);
+                plan.assemble(species, &moments, matrices.values_of_mut(idx));
                 rhs.system_mut(idx).copy_from_slice(&f);
                 species_of.push(species.name);
             }

@@ -5,12 +5,14 @@
 //! two warm-started steps, with ELL and with CSR, to digests recorded
 //! before the kernels were compiled for hardware FMA and the assembly
 //! was made parallel, and check the parallel assembly against the
-//! serial per-system call.
+//! serial per-system call. The multi-species step and the workload
+//! batches are pinned to digests recorded before their assembly
+//! replayed a recorded scatter plan.
 
 use batsolv_gpusim::DeviceSpec;
 use batsolv_xgc::operator_assembly::assemble_matrix;
 use batsolv_xgc::picard::{ProxyState, SolverKind};
-use batsolv_xgc::{CollisionProxy, Moments, VelocityGrid};
+use batsolv_xgc::{CollisionProxy, Moments, MultiSpeciesProxy, Species, VelocityGrid, XgcWorkload};
 
 const MESH_NODES: usize = 5;
 const SEED: u64 = 2022;
@@ -102,4 +104,46 @@ fn combined_assembly_matches_serial_per_system_assembly() {
     let digest =
         fnv1a((0..2 * MESH_NODES).flat_map(|i| combined.values_of(i).iter().map(|v| v.to_bits())));
     assert_eq!(digest, ASSEMBLY_DIGEST, "assembly digest {digest:#018x}");
+}
+
+/// FNV-1a digest of a multi-species state (three ion species plus
+/// electrons) after two steps.
+const MULTI_SPECIES_DIGEST: u64 = 0x7333_1e6d_c652_dfa9;
+
+#[test]
+fn multi_species_steps_are_bitwise_pinned() {
+    let proxy = MultiSpeciesProxy::future_xgc(VelocityGrid::small(10, 9), 3, 3);
+    let mut state = proxy.initial_state(SEED);
+    let device = DeviceSpec::v100();
+    for _ in 0..2 {
+        proxy.run_picard(&mut state, &device).expect("picard step");
+    }
+    let digest = fnv1a(
+        state
+            .f
+            .iter()
+            .flat_map(|f| f.values().iter().map(|v| v.to_bits())),
+    );
+    assert_eq!(
+        digest, MULTI_SPECIES_DIGEST,
+        "multi-species state digest {digest:#018x}"
+    );
+}
+
+/// FNV-1a digest of a two-species and a one-species workload batch:
+/// matrix values, then right-hand sides.
+const WORKLOAD_DIGEST: u64 = 0x2a36_78d8_de69_6b9c;
+
+#[test]
+fn workload_batches_are_bitwise_pinned() {
+    let grid = VelocityGrid::small(10, 9);
+    let pair = XgcWorkload::generate(grid, 3, SEED).expect("workload");
+    let ions =
+        XgcWorkload::generate_single_species(grid, Species::ion(), 2, SEED).expect("workload");
+    let digest = fnv1a([&pair, &ions].into_iter().flat_map(|w| {
+        (0..w.num_systems())
+            .flat_map(|i| w.matrices.values_of(i).iter().chain(w.rhs.system(i)))
+            .map(|v| v.to_bits())
+    }));
+    assert_eq!(digest, WORKLOAD_DIGEST, "workload digest {digest:#018x}");
 }
