@@ -8,7 +8,6 @@ use std::hint::black_box;
 use batsolv_formats::{BatchBanded, BatchMatrix, BatchVectors};
 use batsolv_gpusim::DeviceSpec;
 use batsolv_solvers::direct::banded_lu::{gbtrf, gbtrs};
-use batsolv_solvers::direct::cyclic_reduction::{cr_solve, thomas_solve};
 use batsolv_solvers::{AbsResidual, BatchBicgstab, Jacobi};
 use batsolv_xgc::{Moments, Species, VelocityGrid, XgcWorkload};
 
@@ -93,25 +92,6 @@ fn direct_solvers(c: &mut Criterion) {
     g.finish();
 }
 
-fn tridiagonal(c: &mut Criterion) {
-    let n = 992;
-    let dl: Vec<f64> = (0..n).map(|i| if i == 0 { 0.0 } else { -1.0 }).collect();
-    let d = vec![3.0f64; n];
-    let du: Vec<f64> = (0..n)
-        .map(|i| if i == n - 1 { 0.0 } else { -0.8 })
-        .collect();
-    let b: Vec<f64> = (0..n).map(|k| (k as f64 * 0.1).cos()).collect();
-
-    let mut g = c.benchmark_group("tridiag_992");
-    g.bench_function("cyclic_reduction", |bch| {
-        bch.iter(|| cr_solve(black_box(&dl), &d, &du, &b).unwrap())
-    });
-    g.bench_function("thomas", |bch| {
-        bch.iter(|| thomas_solve(black_box(&dl), &d, &du, &b).unwrap())
-    });
-    g.finish();
-}
-
 fn operator_assembly(c: &mut Criterion) {
     let grid = VelocityGrid::xgc_standard();
     let pattern = grid.stencil_pattern();
@@ -189,7 +169,6 @@ criterion_group!(
     spmv_formats,
     batched_bicgstab,
     direct_solvers,
-    tridiagonal,
     operator_assembly,
     picard_step,
     eigensolver

@@ -44,8 +44,7 @@
 //! ```text
 //! batsolv-serve [--pairs 100] [--threads 4] [--target 100] [--linger-us 2000]
 //!               [--rate 20000] [--queue 1024] [--quick] [--compare]
-//!               [--solver pipelined-bicgstab] [--precond ilu0]
-//!               [--autotune] [--autotune-window 32]
+//!               [--solver bicgstab|pipelined-bicgstab]
 //!               [--trace-out trace.jsonl] [--profile-out profile.json]
 //!               [--metrics-out metrics.prom] [--flight-recorder]
 //!               [--stats-interval-ms 1000]
@@ -55,14 +54,13 @@
 //! ```
 //!
 //! `--solver` picks the fused solver variant carrying rung 1 of the
-//! escalation ladder; the chosen variant and its cumulative simulated
-//! sync count surface in the stats page (`batsolv_solver_info`,
-//! `batsolv_sim_syncs_total`). `--precond` picks the batched
-//! preconditioner under the iterative rungs (`batsolv_precond_info`);
-//! `--autotune` turns on the telemetry tuner, whose per-class
-//! (solver, preconditioner) recommendations surface identically as
-//! `autotune_decision` trace events, `batsolv_autotune_*` Prometheus
-//! series, and the `autotune` section of the `--profile-out` report.
+//! escalation ladder, in both modes; every iterative rung runs under
+//! scalar Jacobi. The menu holds what a BENCH_solve row justifies:
+//! `bicgstab` (the default, with the fused-AXPY pass: 5 syncs per
+//! iteration, bitwise the classical numerics) and `pipelined-bicgstab`
+//! (2 syncs per iteration). The chosen variant and its cumulative
+//! simulated sync count surface in the stats page
+//! (`batsolv_solver_info`, `batsolv_sim_syncs_total`).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -76,12 +74,12 @@ use batsolv_fleet::{
 };
 use batsolv_gpusim::DeviceSpec;
 use batsolv_runtime::{
-    prometheus_text_full, AutoTunerConfig, PrecondVariant, RuntimeConfig, SolveRequest,
-    SolveService, SolverVariant, StatsSnapshot, SubmitError,
+    prometheus_text, RuntimeConfig, SolveRequest, SolveService, SolverVariant, StatsSnapshot,
+    SubmitError,
 };
 use batsolv_trace::{
-    AutotuneChoice, FanoutSink, FlightRecorder, JsonlFileSink, LedgerAggregator, MemorySink,
-    TraceSink, Tracer, DEFAULT_FLIGHT_CAPACITY,
+    FanoutSink, FlightRecorder, JsonlFileSink, LedgerAggregator, MemorySink, TraceSink, Tracer,
+    DEFAULT_FLIGHT_CAPACITY,
 };
 use batsolv_xgc::{VelocityGrid, XgcWorkload};
 
@@ -95,13 +93,6 @@ struct Args {
     quick: bool,
     compare: bool,
     solver: SolverVariant,
-    /// Preconditioner under the iterative ladder rungs (single-service
-    /// and fleet GPU shards; the CPU spill pool stays unpreconditioned).
-    precond: PrecondVariant,
-    /// Enable the telemetry autotuner (single-service mode only).
-    autotune: bool,
-    /// Observations per class between autotuner (re)decisions.
-    autotune_window: usize,
     trace_out: Option<PathBuf>,
     /// Write the aggregated phase-ledger report (JSON) here at shutdown.
     profile_out: Option<PathBuf>,
@@ -135,9 +126,6 @@ impl Args {
             quick: false,
             compare: false,
             solver: SolverVariant::default(),
-            precond: PrecondVariant::default(),
-            autotune: false,
-            autotune_window: 32,
             trace_out: None,
             profile_out: None,
             metrics_out: None,
@@ -179,20 +167,6 @@ impl Args {
                         eprintln!("--solver needs one of: {}", SolverVariant::NAMES.join(", "));
                         std::process::exit(2);
                     })
-                }
-                "--precond" => {
-                    let name = args.next().unwrap_or_default();
-                    out.precond = PrecondVariant::parse(&name).unwrap_or_else(|| {
-                        eprintln!(
-                            "--precond needs one of: {}",
-                            PrecondVariant::NAMES.join(", ")
-                        );
-                        std::process::exit(2);
-                    })
-                }
-                "--autotune" => out.autotune = true,
-                "--autotune-window" => {
-                    out.autotune_window = next_usize(&mut args, "--autotune-window")
                 }
                 "--flight-recorder" => out.flight_recorder = true,
                 "--trace-out" => {
@@ -240,25 +214,20 @@ impl Args {
                     eprintln!(
                         "usage: batsolv-serve [--pairs N] [--threads N] [--target N] \
                          [--linger-us N] [--rate R] [--queue N] [--quick] [--compare] \
-                         [--solver NAME] [--precond NAME] [--autotune] \
-                         [--autotune-window N] [--trace-out PATH] [--profile-out PATH] \
+                         [--solver NAME] [--trace-out PATH] [--profile-out PATH] \
                          [--metrics-out PATH] \
                          [--flight-recorder] [--stats-interval-ms N] \
                          [--devices N] [--min-batch-size N] [--steal|--no-steal] \
                          [--device-profile NAME] [--deadline-ms N] [--retries N] \
                          [--hedge|--no-hedge]\n\
                          --profile-out: aggregated phase-ledger report (JSON)\n\
-                         --solver: rung-1 variant, one of {}\n\
-                         --precond: ladder preconditioner, one of {}\n\
-                         --autotune: telemetry-driven per-class (solver, precond) \
-                         recommendations (single-service mode)\n\
+                         --solver: rung-1 variant under Jacobi, one of {}\n\
                          --devices: >= 1 shards traffic over a multi-device fleet\n\
                          --device-profile: one of {}\n\
                          --deadline-ms: per-request deadline budget (0 = none)\n\
                          --retries: extra attempts after retryable failures (0 = off)\n\
                          --hedge: duplicate straggling flights from idle shards",
                         SolverVariant::NAMES.join(", "),
-                        PrecondVariant::NAMES.join(", "),
                         DeviceProfile::NAMES.join(", ")
                     );
                     std::process::exit(0);
@@ -274,31 +243,18 @@ impl Args {
 }
 
 /// Fire every workload system at the service from `threads` open-loop
-/// submitters; returns (snapshot, autotune choices, converged, failed,
-/// rejected, wall).
+/// submitters; returns (snapshot, converged, failed, rejected, wall).
 fn drive(
     workload: &XgcWorkload,
     args: &Args,
     target: usize,
     tracer: Tracer,
-) -> (
-    StatsSnapshot,
-    Vec<AutotuneChoice>,
-    usize,
-    usize,
-    usize,
-    Duration,
-) {
+) -> (StatsSnapshot, usize, usize, usize, Duration) {
     let config = RuntimeConfig::new(DeviceSpec::v100())
         .with_batch_target(target)
         .with_linger(Duration::from_micros(args.linger_us))
         .with_queue_capacity(args.queue)
         .with_solver(args.solver)
-        .with_precond(args.precond)
-        .with_autotune(args.autotune.then(|| AutoTunerConfig {
-            window: args.autotune_window,
-            ..AutoTunerConfig::default()
-        }))
         .with_tracer(tracer);
     let service = Arc::new(
         SolveService::start(Arc::clone(workload.pattern()), config)
@@ -370,9 +326,8 @@ fn drive(
         let _ = h.join();
     }
     let service = Arc::into_inner(service).expect("submitters hold no service refs");
-    let choices = service.autotune_choices();
     let stats = service.shutdown();
-    (stats, choices, converged, failed, rejected, wall)
+    (stats, converged, failed, rejected, wall)
 }
 
 /// Fleet mode: fire groups of `--target` systems at a sharded
@@ -402,9 +357,9 @@ fn drive_fleet(
         .with_retry(retry)
         .with_hedge(hedge)
         .with_tracer(tracer);
-    // GPU shards run their ladders under the chosen preconditioner; the
-    // CPU spill pool stays on the unpreconditioned banded-LU baseline.
-    config.ladder.precond = args.precond;
+    // GPU shards run the chosen rung-1 variant; the CPU spill pool stays
+    // on the banded-LU baseline.
+    config.ladder.solver = args.solver;
     let service = Arc::new(
         FleetService::start(Arc::clone(workload.pattern()), config).expect("fleet failed to start"),
     );
@@ -503,12 +458,10 @@ fn drive_fleet(
 
 /// Aggregate the captured event stream into the phase-ledger report and
 /// write it as JSON — the `--profile-out` contract. The 1 µs balance
-/// tolerance matches the invariant the test suite asserts. Autotune
-/// choices (when the tuner ran) ride along in the report's `autotune`
-/// section so the ledger, trace, and Prometheus surfaces agree.
-fn write_profile_report(path: &std::path::Path, sink: &MemorySink, autotune: &[AutotuneChoice]) {
+/// tolerance matches the invariant the test suite asserts.
+fn write_profile_report(path: &std::path::Path, sink: &MemorySink) {
     let agg = LedgerAggregator::build(&sink.snapshot());
-    let report = agg.report(1.0).with_autotune(autotune.to_vec());
+    let report = agg.report(1.0);
     std::fs::write(path, report.to_json()).unwrap_or_else(|e| {
         eprintln!("cannot write profile report {}: {e}", path.display());
         std::process::exit(2);
@@ -606,7 +559,7 @@ fn main() {
             println!("trace written to {}", path.display());
         }
         if let (Some(path), Some(mem)) = (&args.profile_out, &profile_sink) {
-            write_profile_report(path, mem, &[]);
+            write_profile_report(path, mem);
         }
         if let Some(path) = &args.metrics_out {
             std::fs::write(path, fleet_prometheus_text(&snap)).unwrap_or_else(|e| {
@@ -653,7 +606,7 @@ fn main() {
         return;
     }
 
-    let (stats, choices, converged, failed, rejected, wall) =
+    let (stats, converged, failed, rejected, wall) =
         drive(&workload, &args, args.target, tracer.clone());
     println!(
         "\n--- batch target {} (linger {} us) ---",
@@ -669,24 +622,11 @@ fn main() {
     if let Some(path) = &args.trace_out {
         println!("trace written to {}", path.display());
     }
-    if args.autotune && !choices.is_empty() {
-        println!("autotune recommendations:");
-        for c in &choices {
-            println!(
-                "  {:13} -> {} + {} ({} observations, revision {})",
-                c.class.name(),
-                c.solver,
-                c.precond,
-                c.observations,
-                c.revision
-            );
-        }
-    }
     if let (Some(path), Some(mem)) = (&args.profile_out, &profile_sink) {
-        write_profile_report(path, mem, &choices);
+        write_profile_report(path, mem);
     }
     if let Some(path) = &args.metrics_out {
-        std::fs::write(path, prometheus_text_full(&stats, None, &choices)).unwrap_or_else(|e| {
+        std::fs::write(path, prometheus_text(&stats)).unwrap_or_else(|e| {
             eprintln!("cannot write metrics file {}: {e}", path.display());
             std::process::exit(2);
         });

@@ -3,7 +3,7 @@
 use std::time::Duration;
 
 use batsolv_gpusim::DeviceSpec;
-use batsolv_runtime::{BreakerConfig, LadderConfig, PrecondVariant, SolverVariant};
+use batsolv_runtime::{BreakerConfig, LadderConfig};
 use batsolv_trace::Tracer;
 use batsolv_types::{Error, Result};
 
@@ -267,7 +267,8 @@ pub struct FleetConfig {
 impl FleetConfig {
     /// A fleet of `devices` shards with the defaults: V100 profile,
     /// min/max cutoffs [`DEFAULT_MIN_BATCH_SIZE`] /
-    /// [`DEFAULT_MAX_BATCH_SIZE`], stealing on, 38-worker CPU pool.
+    /// [`DEFAULT_MAX_BATCH_SIZE`], stealing on, 38-worker CPU pool, and
+    /// the single-device service's ladder ([`LadderConfig::default`]).
     pub fn new(devices: usize) -> FleetConfig {
         FleetConfig {
             devices,
@@ -277,16 +278,7 @@ impl FleetConfig {
             queue_capacity: 256,
             steal: true,
             steal_seed: 0x5eed_f1ee,
-            ladder: LadderConfig {
-                default_tolerance: 1e-10,
-                max_iters: 500,
-                enable_gmres: true,
-                gmres_restart: 30,
-                gmres_max_iters: 300,
-                enable_fallback: true,
-                solver: SolverVariant::BicgstabFused,
-                precond: PrecondVariant::Jacobi,
-            },
+            ladder: LadderConfig::default(),
             breaker: BreakerConfig::default(),
             cpu_workers: DEFAULT_CPU_WORKERS,
             retry: RetryPolicy::disabled(),

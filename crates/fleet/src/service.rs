@@ -227,7 +227,9 @@ impl FleetService {
     /// aimed at a breaker-open or full shard walk the range to the next
     /// healthy one; only when every GPU shard refuses does the submit
     /// fail with [`SubmitError::CircuitOpen`] (all breakers open) or
-    /// [`SubmitError::QueueFull`].
+    /// [`SubmitError::QueueFull`]. A member with a malformed shape or an
+    /// unreachable tolerance ([`SolveRequest::check_tolerance`]) refuses
+    /// the whole group.
     pub fn submit_group(
         &self,
         requests: Vec<SolveRequest>,
@@ -245,6 +247,11 @@ impl FleetService {
             });
         }
         for r in &requests {
+            if let Err(e) = r.check_tolerance() {
+                self.rejected
+                    .fetch_add(requests.len() as u64, Ordering::Relaxed);
+                return Err(e);
+            }
             if r.values.len() != self.nnz {
                 self.rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(SubmitError::ShapeMismatch {

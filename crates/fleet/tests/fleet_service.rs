@@ -163,20 +163,18 @@ fn shutdown_drains_queued_work() {
     }
 }
 
-/// The CPU spill pool ignores the ladder's preconditioner: banded LU is
-/// its only rung, so even with the heaviest ladder setting (ILU(0))
-/// spilled chunks come back as unpreconditioned direct solves while the
-/// GPU shards run the preconditioned ladder.
+/// The CPU spill pool runs no preconditioner: banded LU is its only
+/// rung, so spilled chunks come back as unpreconditioned direct solves
+/// while the GPU shards run the Jacobi-preconditioned ladder.
 #[test]
-fn cpu_spill_stays_unpreconditioned_banded_lu_under_an_ilu0_ladder() {
-    use batsolv_runtime::{PrecondVariant, SolveMethod};
+fn cpu_spill_stays_unpreconditioned_banded_lu() {
+    use batsolv_runtime::SolveMethod;
 
     let pattern = Arc::new(SparsityPattern::stencil_2d(6, 6, false));
-    let mut cfg = FleetConfig::new(2)
+    let cfg = FleetConfig::new(2)
         .with_profile(DeviceProfile::A100)
         .with_min_batch_size(8)
         .with_max_batch_size(16);
-    cfg.ladder.precond = PrecondVariant::Ilu0;
     let service = FleetService::start(Arc::clone(&pattern), cfg).unwrap();
 
     // A 16-wide group rides the GPU shards (preconditioned ladder); a
@@ -208,4 +206,44 @@ fn cpu_spill_stays_unpreconditioned_banded_lu_under_an_ilu0_ladder() {
     assert_eq!(snap.spilled, 5);
     assert_eq!(snap.completed(), 21);
     assert_eq!(snap.failed(), 0);
+}
+
+/// A member whose tolerance no residual can meet (zero, negative or NaN)
+/// refuses its whole group at submission instead of holding the fused
+/// chunk through all three rungs; the would-be batchmates, resubmitted
+/// on their own, solve on rung 1.
+#[test]
+fn unreachable_tolerance_refuses_the_group_and_spares_its_batchmates() {
+    use batsolv_runtime::SolveMethod;
+
+    let pattern = Arc::new(SparsityPattern::stencil_2d(6, 6, false));
+    let cfg = FleetConfig::new(1).with_min_batch_size(4);
+    let service = FleetService::start(Arc::clone(&pattern), cfg).unwrap();
+    for bad in [0.0, -1.0, f64::NAN] {
+        let mut requests = group(&pattern, 8);
+        requests[3].tolerance = Some(bad);
+        match service.submit_group(requests, None) {
+            Err(SubmitError::InvalidTolerance { tolerance }) => {
+                assert_eq!(tolerance.to_bits(), bad.to_bits())
+            }
+            other => panic!("tolerance {bad}: expected InvalidTolerance, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        service.snapshot().accepted,
+        0,
+        "refused groups queue nothing"
+    );
+
+    let ticket = service.submit_group(group(&pattern, 7), None).unwrap();
+    for outcome in ticket.wait_all() {
+        let sol = outcome.unwrap();
+        assert_eq!(sol.method, SolveMethod::Bicgstab);
+        assert_eq!(sol.rungs.len(), 1, "no escalation");
+        assert!(sol.residual < 1e-10);
+    }
+    let snap = service.shutdown();
+    assert_eq!(snap.accepted, 7);
+    assert_eq!(snap.rejected, 24, "each refused group counts whole");
+    assert_eq!(snap.spilled, 0);
 }

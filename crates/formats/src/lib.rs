@@ -12,10 +12,7 @@
 //! * [`BatchDense`] — dense row-major storage, used as a reference and by
 //!   the direct eigen/LU paths;
 //! * [`BatchBanded`] — LAPACK-style band storage (`dgbsv` layout, the
-//!   paper's CPU baseline);
-//! * [`BatchTridiag`] — strided tridiagonal storage (the layout of
-//!   cuSPARSE's `gtsv2StridedBatch`, implemented as a related-work
-//!   baseline).
+//!   paper's CPU baseline).
 //!
 //! All formats share one [`SparsityPattern`] abstraction and one right-hand
 //! side / solution container, [`BatchVectors`]. Every SpMV kernel reports
@@ -33,7 +30,6 @@ pub mod pattern;
 pub mod slice;
 pub mod storage;
 pub mod traits;
-pub mod tridiag;
 pub mod vectors;
 
 #[cfg(test)]
@@ -50,5 +46,4 @@ pub use pattern::SparsityPattern;
 pub use slice::SystemSlice;
 pub use storage::StorageReport;
 pub use traits::BatchMatrix;
-pub use tridiag::BatchTridiag;
 pub use vectors::BatchVectors;

@@ -5,9 +5,8 @@ use std::time::Duration;
 use batsolv_gpusim::DeviceSpec;
 use batsolv_trace::Tracer;
 
-use crate::autotune::AutoTunerConfig;
 use crate::breaker::BreakerConfig;
-use crate::dispatcher::{PrecondVariant, SolverVariant};
+use crate::dispatcher::{LadderConfig, SolverVariant};
 
 /// Tuning knobs of the solve service.
 ///
@@ -37,12 +36,6 @@ pub struct RuntimeConfig {
     pub max_iters: usize,
     /// Which fused solver variant carries rung 1 of the ladder.
     pub solver: SolverVariant,
-    /// Which preconditioner the iterative ladder rungs run under (the
-    /// direct rung and the fleet's CPU spill stay unpreconditioned).
-    pub precond: PrecondVariant,
-    /// Telemetry-driven solver × preconditioner recommendation engine;
-    /// `None` disables it.
-    pub autotune: Option<AutoTunerConfig>,
     /// Whether BiCGSTAB stragglers are retried with restarted GMRES
     /// (rung 2 of the escalation ladder).
     pub enable_gmres: bool,
@@ -73,22 +66,22 @@ pub struct RuntimeConfig {
 
 impl RuntimeConfig {
     /// Defaults: V100 pricing, 1024-deep queue, batches of 128, 2 ms
-    /// linger, the paper's 1e-10 tolerance.
+    /// linger, and the ladder of [`LadderConfig::default`] (the paper's
+    /// 1e-10 tolerance), which the fleet shares.
     pub fn new(device: DeviceSpec) -> RuntimeConfig {
+        let ladder = LadderConfig::default();
         RuntimeConfig {
             device,
             queue_capacity: 1024,
             batch_target: 128,
             linger: Duration::from_millis(2),
-            tolerance: 1e-10,
-            max_iters: 500,
-            solver: SolverVariant::Bicgstab,
-            precond: PrecondVariant::Jacobi,
-            autotune: None,
-            enable_gmres: true,
-            gmres_restart: 30,
-            gmres_max_iters: 300,
-            enable_fallback: true,
+            tolerance: ladder.default_tolerance,
+            max_iters: ladder.max_iters,
+            solver: ladder.solver,
+            enable_gmres: ladder.enable_gmres,
+            gmres_restart: ladder.gmres_restart,
+            gmres_max_iters: ladder.gmres_max_iters,
+            enable_fallback: ladder.enable_fallback,
             validate_admission: true,
             min_diag_abs: 0.0,
             watchdog_budget: Some(Duration::from_secs(30)),
@@ -130,18 +123,6 @@ impl RuntimeConfig {
     /// Override the rung-1 solver variant.
     pub fn with_solver(mut self, solver: SolverVariant) -> Self {
         self.solver = solver;
-        self
-    }
-
-    /// Override the ladder preconditioner.
-    pub fn with_precond(mut self, precond: PrecondVariant) -> Self {
-        self.precond = precond;
-        self
-    }
-
-    /// Enable (or with `None`, disable) the telemetry autotuner.
-    pub fn with_autotune(mut self, autotune: Option<AutoTunerConfig>) -> Self {
-        self.autotune = autotune;
         self
     }
 
@@ -214,14 +195,6 @@ impl RuntimeConfig {
         }
         if self.enable_gmres && (self.gmres_restart == 0 || self.gmres_max_iters == 0) {
             return Err("gmres_restart and gmres_max_iters must be at least 1".into());
-        }
-        if self.precond == PrecondVariant::BlockJacobi(0) {
-            return Err("block-jacobi block size must be at least 1".into());
-        }
-        if let Some(a) = &self.autotune {
-            if a.window == 0 {
-                return Err("autotune window must be at least 1".into());
-            }
         }
         if self.min_diag_abs.is_nan() || self.min_diag_abs < 0.0 {
             return Err(format!(

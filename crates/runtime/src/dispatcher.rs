@@ -22,13 +22,12 @@ use batsolv_gpusim::{
 };
 use batsolv_solvers::direct::BatchBandedLu;
 use batsolv_solvers::{
-    AbsResidual, BatchBicgstab, BatchCg, BatchGmres, BatchSolveReport, BlockJacobi, Identity, Ilu0,
-    Jacobi, PipelinedBicgstab, PipelinedCg, Preconditioner, TraceLogger,
+    AbsResidual, BatchBicgstab, BatchGmres, BatchSolveReport, Jacobi, PipelinedBicgstab,
+    TraceLogger,
 };
 use batsolv_trace::{EventKind, Tracer};
 use batsolv_types::{BatchDims, Error, Result};
 
-use crate::executor::{BatchExecutor, ExecMode};
 use crate::request::{RequestId, RungAttempt, SolveMethod};
 
 /// One request's payload as handed to the engine.
@@ -140,21 +139,17 @@ impl SimSplit {
     }
 }
 
-/// Which fused solver variant carries rung 1 of the ladder.
+/// Which fused solver variant carries rung 1 of the ladder. Both run
+/// under scalar Jacobi, the paper's production preconditioner.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SolverVariant {
-    /// Classical batched BiCGSTAB (Algorithm 1): 6 syncs/iteration.
+    /// Batched BiCGSTAB (Algorithm 1) with the fused-AXPY vector pass:
+    /// the classical numerics bit for bit at 5 syncs/iteration instead
+    /// of 6 (BENCH_solve `bicgstab-fused`).
     #[default]
     Bicgstab,
-    /// BiCGSTAB with the fused-AXPY vector pass — bitwise-identical
-    /// numerics, 5 syncs/iteration.
-    BicgstabFused,
     /// Pipelined BiCGSTAB (fused reductions): 2 syncs/iteration.
     PipelinedBicgstab,
-    /// Classical batched CG (SPD systems): 3 syncs/iteration.
-    Cg,
-    /// Pipelined CG (Ghysels–Vanroose): 1 sync/iteration.
-    PipelinedCg,
 }
 
 impl SolverVariant {
@@ -162,10 +157,7 @@ impl SolverVariant {
     pub fn parse(s: &str) -> Option<SolverVariant> {
         match s {
             "bicgstab" => Some(SolverVariant::Bicgstab),
-            "bicgstab-fused" => Some(SolverVariant::BicgstabFused),
             "pipelined-bicgstab" => Some(SolverVariant::PipelinedBicgstab),
-            "cg" => Some(SolverVariant::Cg),
-            "pipelined-cg" => Some(SolverVariant::PipelinedCg),
             _ => None,
         }
     }
@@ -174,73 +166,12 @@ impl SolverVariant {
     pub fn name(self) -> &'static str {
         match self {
             SolverVariant::Bicgstab => "bicgstab",
-            SolverVariant::BicgstabFused => "bicgstab-fused",
             SolverVariant::PipelinedBicgstab => "pipelined-bicgstab",
-            SolverVariant::Cg => "cg",
-            SolverVariant::PipelinedCg => "pipelined-cg",
         }
     }
 
     /// Every accepted `--solver` value, for usage/error messages.
-    pub const NAMES: &'static [&'static str] = &[
-        "bicgstab",
-        "bicgstab-fused",
-        "pipelined-bicgstab",
-        "cg",
-        "pipelined-cg",
-    ];
-}
-
-/// Which batched preconditioner the iterative rungs run under.
-///
-/// Rung 3 (banded LU) and the fleet's CPU spill path are direct solves
-/// and always run unpreconditioned regardless of this choice.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PrecondVariant {
-    /// `M = I`: no preconditioning.
-    None,
-    /// Scalar Jacobi (`M = diag(A)`), the paper's production choice.
-    #[default]
-    Jacobi,
-    /// Batched block-Jacobi with dense per-block LU inversion; the
-    /// payload is the block size.
-    BlockJacobi(usize),
-    /// Batched ILU(0): apply is a pair of level-scheduled sparse
-    /// triangular solves, priced per level in the device model.
-    Ilu0,
-}
-
-impl PrecondVariant {
-    /// Block size used when `block-jacobi` is named without one.
-    pub const DEFAULT_BLOCK: usize = 4;
-
-    /// Parse a `--precond` flag value; `None` on an unknown name.
-    pub fn parse(s: &str) -> Option<PrecondVariant> {
-        match s {
-            "none" => Some(PrecondVariant::None),
-            "jacobi" => Some(PrecondVariant::Jacobi),
-            "block-jacobi" => Some(PrecondVariant::BlockJacobi(Self::DEFAULT_BLOCK)),
-            "ilu0" => Some(PrecondVariant::Ilu0),
-            _ => s
-                .strip_prefix("block-jacobi:")
-                .and_then(|b| b.parse::<usize>().ok())
-                .filter(|&b| b > 0)
-                .map(PrecondVariant::BlockJacobi),
-        }
-    }
-
-    /// The name used in reports, traces and metrics (block size elided).
-    pub fn name(self) -> &'static str {
-        match self {
-            PrecondVariant::None => "none",
-            PrecondVariant::Jacobi => "jacobi",
-            PrecondVariant::BlockJacobi(_) => "block-jacobi",
-            PrecondVariant::Ilu0 => "ilu0",
-        }
-    }
-
-    /// Every accepted `--precond` form, for usage/error messages.
-    pub const NAMES: &'static [&'static str] = &["none", "jacobi", "block-jacobi:<b>", "ilu0"];
+    pub const NAMES: &'static [&'static str] = &["bicgstab", "pipelined-bicgstab"];
 }
 
 /// A batch solver the service can dispatch to.
@@ -267,11 +198,27 @@ pub struct LadderConfig {
     pub enable_fallback: bool,
     /// Which fused solver variant carries rung 1.
     pub solver: SolverVariant,
-    /// Which preconditioner the iterative rungs (1 and 2) run under.
-    pub precond: PrecondVariant,
 }
 
-/// The production engine: BiCGSTAB → restarted GMRES → banded LU.
+impl Default for LadderConfig {
+    /// The serving defaults of both the single-device service and the
+    /// fleet: the paper's 1e-10 tolerance, 500 BiCGSTAB iterations, then
+    /// GMRES(30) for 300 iterations, then banded LU.
+    fn default() -> LadderConfig {
+        LadderConfig {
+            default_tolerance: 1e-10,
+            max_iters: 500,
+            enable_gmres: true,
+            gmres_restart: 30,
+            gmres_max_iters: 300,
+            enable_fallback: true,
+            solver: SolverVariant::Bicgstab,
+        }
+    }
+}
+
+/// The production engine: BiCGSTAB → restarted GMRES → banded LU, every
+/// iterative rung under scalar Jacobi.
 pub struct LadderEngine {
     device: DeviceSpec,
     pattern: Arc<SparsityPattern>,
@@ -283,11 +230,6 @@ pub struct LadderEngine {
     shard: u32,
     /// Monotonic kernel-launch sequence across the engine's lifetime.
     launch_seq: AtomicU64,
-    /// Concurrent batch executor carrying the fused rung-1 launch. The
-    /// engine keeps its own chaos/trace seams (hook consulted and launch
-    /// events emitted here, where rung context is known), so the inner
-    /// executor runs bare.
-    executor: BatchExecutor,
 }
 
 impl LadderEngine {
@@ -304,7 +246,6 @@ impl LadderEngine {
         hook: Arc<dyn LaunchHook>,
     ) -> LadderEngine {
         LadderEngine {
-            executor: BatchExecutor::new(device.clone(), ExecMode::Concurrent),
             device,
             pattern,
             cfg,
@@ -409,103 +350,86 @@ impl LadderEngine {
     }
 
     /// Rung 1: one fused launch of the configured solver variant under
-    /// `precond`, over the whole batch. Untraced, the launch rides the
-    /// concurrent batch executor; traced, the BiCGSTAB-family variants
-    /// bridge per-iteration residuals through their logger seam.
-    #[allow(clippy::too_many_arguments)]
-    fn run_rung1<P: Preconditioner<f64>>(
+    /// Jacobi, over the whole batch. Traced, per-iteration residuals
+    /// bridge through the solver's logger seam.
+    fn run_rung1(
         &self,
-        precond: P,
         tol: f64,
         a: &BatchCsr<f64>,
         b: &BatchVectors<f64>,
         x: &mut BatchVectors<f64>,
         items: &[BatchItem],
-        traced: bool,
     ) -> Result<BatchSolveReport> {
+        let stop = AbsResidual::new(tol);
+        let traced = self.tracer.is_enabled();
+        let logger = |k: usize| TraceLogger::new(&self.tracer, items[k].id, 1);
         match self.cfg.solver {
-            SolverVariant::Bicgstab | SolverVariant::BicgstabFused => {
-                let solver = BatchBicgstab::new(precond, AbsResidual::new(tol))
+            SolverVariant::Bicgstab => {
+                let solver = BatchBicgstab::new(Jacobi, stop)
                     .with_max_iters(self.cfg.max_iters)
-                    .with_fused_axpy(self.cfg.solver == SolverVariant::BicgstabFused);
+                    .with_fused_axpy(true);
                 if traced {
-                    solver.solve_logged(&self.device, a, b, x, |k| {
-                        TraceLogger::new(&self.tracer, items[k].id, 1)
-                    })
+                    solver.solve_logged(&self.device, a, b, x, logger)
                 } else {
-                    Ok(self
-                        .executor
-                        .execute(&solver, a, b, x)?
-                        .fused
-                        .expect("concurrent execution returns the fused report"))
+                    solver.solve(&self.device, a, b, x)
                 }
             }
             SolverVariant::PipelinedBicgstab => {
-                let solver = PipelinedBicgstab::new(precond, AbsResidual::new(tol))
-                    .with_max_iters(self.cfg.max_iters);
-                if traced {
-                    solver.solve_logged(&self.device, a, b, x, |k| {
-                        TraceLogger::new(&self.tracer, items[k].id, 1)
-                    })
-                } else {
-                    Ok(self
-                        .executor
-                        .execute(&solver, a, b, x)?
-                        .fused
-                        .expect("concurrent execution returns the fused report"))
-                }
-            }
-            SolverVariant::Cg => {
                 let solver =
-                    BatchCg::new(precond, AbsResidual::new(tol)).with_max_iters(self.cfg.max_iters);
+                    PipelinedBicgstab::new(Jacobi, stop).with_max_iters(self.cfg.max_iters);
                 if traced {
-                    solver.solve(&self.device, a, b, x)
+                    solver.solve_logged(&self.device, a, b, x, logger)
                 } else {
-                    Ok(self
-                        .executor
-                        .execute(&solver, a, b, x)?
-                        .fused
-                        .expect("concurrent execution returns the fused report"))
-                }
-            }
-            SolverVariant::PipelinedCg => {
-                let solver = PipelinedCg::new(precond, AbsResidual::new(tol))
-                    .with_max_iters(self.cfg.max_iters);
-                if traced {
                     solver.solve(&self.device, a, b, x)
-                } else {
-                    Ok(self
-                        .executor
-                        .execute(&solver, a, b, x)?
-                        .fused
-                        .expect("concurrent execution returns the fused report"))
                 }
             }
         }
     }
 
-    /// Rung 2: restarted GMRES under `precond` over the straggler subset.
-    #[allow(clippy::too_many_arguments)]
-    fn run_rung2_gmres<P: Preconditioner<f64>>(
+    /// Run one rung over `sub` (indices into `items`): the rung spans
+    /// and launch records around `solve` when traced, and the rung's
+    /// device cost (operand upload plus kernel) charged to `out`.
+    fn run_rung(
         &self,
-        precond: P,
-        tol: f64,
-        a: &BatchCsr<f64>,
-        b: &BatchVectors<f64>,
-        x: &mut BatchVectors<f64>,
+        rung: u8,
+        method: &'static str,
         items: &[BatchItem],
         sub: &[usize],
-        traced: bool,
+        out: &mut BatchReport,
+        solve: impl FnOnce() -> Result<BatchSolveReport>,
     ) -> Result<BatchSolveReport> {
-        let gmres = BatchGmres::new(precond, AbsResidual::new(tol), self.cfg.gmres_restart)
-            .with_max_iters(self.cfg.gmres_max_iters);
+        let traced = self.tracer.is_enabled();
         if traced {
-            gmres.solve_logged(&self.device, a, b, x, |k| {
-                TraceLogger::new(&self.tracer, items[sub[k]].id, 2)
-            })
-        } else {
-            gmres.solve(&self.device, a, b, x)
+            for &i in sub {
+                self.tracer
+                    .emit(Some(items[i].id), EventKind::RungBegin { rung, method });
+            }
         }
+        let report = solve()?;
+        let upload = Self::upload_bytes(items, sub);
+        if traced {
+            self.trace_launch(sub.len(), upload, &report);
+            for (&i, r) in sub.iter().zip(&report.per_system) {
+                self.tracer.emit(
+                    Some(items[i].id),
+                    EventKind::RungEnd {
+                        rung,
+                        method,
+                        iterations: r.iterations,
+                        residual: r.residual,
+                        converged: r.converged,
+                        breakdown: r.breakdown,
+                    },
+                );
+            }
+        }
+        out.sim_time_s += report.time_s();
+        out.syncs += report.syncs();
+        out.reductions += report.reductions();
+        out.split
+            .add_transfer(&self.device, upload, Direction::HostToDevice);
+        out.split.add_kernel(&report);
+        Ok(report)
     }
 }
 
@@ -529,6 +453,15 @@ impl SolveEngine for LadderEngine {
         let n = self.pattern.num_rows();
         let tol = self.effective_tolerance(items);
         let all: Vec<usize> = (0..items.len()).collect();
+        let method = self.cfg.solver.name();
+        let mut out = BatchReport {
+            outcomes: Vec::new(),
+            sim_time_s: 0.0,
+            syncs: 0,
+            reductions: 0,
+            solver: method,
+            split: SimSplit::default(),
+        };
 
         // Rung 1: fused BiCGSTAB over the whole batch.
         let (a, b, dims) = self.assemble(items, &all)?;
@@ -538,78 +471,28 @@ impl SolveEngine for LadderEngine {
                 x.system_mut(i).copy_from_slice(g);
             }
         }
-        let traced = self.tracer.is_enabled();
-        let method = self.cfg.solver.name();
-        if traced {
-            for it in items {
-                self.tracer
-                    .emit(Some(it.id), EventKind::RungBegin { rung: 1, method });
-            }
-        }
-        // The preconditioner is a compile-time generic of the solver
-        // kernels, so the runtime choice monomorphizes here: one arm per
-        // ladder preconditioner, each instantiating the configured solver
-        // variant through `run_rung1`.
-        let report = match self.cfg.precond {
-            PrecondVariant::None => self.run_rung1(Identity, tol, &a, &b, &mut x, items, traced)?,
-            PrecondVariant::Jacobi => self.run_rung1(Jacobi, tol, &a, &b, &mut x, items, traced)?,
-            PrecondVariant::BlockJacobi(bs) => {
-                self.run_rung1(BlockJacobi::new(bs), tol, &a, &b, &mut x, items, traced)?
-            }
-            PrecondVariant::Ilu0 => {
-                let ilu = Ilu0::new(Arc::clone(&self.pattern));
-                self.run_rung1(ilu, tol, &a, &b, &mut x, items, traced)?
-            }
-        };
-        if traced {
-            self.trace_launch(items.len(), Self::upload_bytes(items, &all), &report);
-            for (i, it) in items.iter().enumerate() {
-                let r = &report.per_system[i];
-                self.tracer.emit(
-                    Some(it.id),
-                    EventKind::RungEnd {
-                        rung: 1,
-                        method,
-                        iterations: r.iterations,
-                        residual: r.residual,
-                        converged: r.converged,
-                        breakdown: r.breakdown,
-                    },
-                );
-            }
-        }
-        let mut sim_time_s = report.time_s();
-        let mut syncs = report.syncs();
-        let mut reductions = report.reductions();
-        let mut split = SimSplit::default();
-        split.add_transfer(
-            &self.device,
-            Self::upload_bytes(items, &all),
-            Direction::HostToDevice,
-        );
-        split.add_kernel(&report);
-
-        let mut outcomes: Vec<ItemOutcome> = items
+        let report = self.run_rung(1, method, items, &all, &mut out, || {
+            self.run_rung1(tol, &a, &b, &mut x, items)
+        })?;
+        out.outcomes = items
             .iter()
+            .zip(&report.per_system)
             .enumerate()
-            .map(|(i, it)| {
-                let r = &report.per_system[i];
-                ItemOutcome {
-                    id: it.id,
-                    x: x.system(i).to_vec(),
+            .map(|(i, (it, r))| ItemOutcome {
+                id: it.id,
+                x: x.system(i).to_vec(),
+                iterations: r.iterations,
+                residual: r.residual,
+                converged: r.converged,
+                method: SolveMethod::Bicgstab,
+                breakdown: r.breakdown,
+                rungs: vec![RungAttempt {
+                    method: SolveMethod::Bicgstab,
                     iterations: r.iterations,
                     residual: r.residual,
                     converged: r.converged,
-                    method: SolveMethod::Bicgstab,
                     breakdown: r.breakdown,
-                    rungs: vec![RungAttempt {
-                        method: SolveMethod::Bicgstab,
-                        iterations: r.iterations,
-                        residual: r.residual,
-                        converged: r.converged,
-                        breakdown: r.breakdown,
-                    }],
-                }
+                }],
             })
             .collect();
 
@@ -624,209 +507,93 @@ impl SolveEngine for LadderEngine {
 
         // Rung 2: restarted GMRES on whatever BiCGSTAB left behind,
         // warm-started from the (sanitized, finite) BiCGSTAB iterate.
-        if self.cfg.enable_gmres {
-            let sub = stragglers(&outcomes);
-            if !sub.is_empty() {
-                let (sub_a, sub_b, sub_dims) = self.assemble(items, &sub)?;
-                let mut sub_x = BatchVectors::zeros(sub_dims);
-                for (k, &i) in sub.iter().enumerate() {
-                    sub_x.system_mut(k).copy_from_slice(&outcomes[i].x);
-                }
-                if traced {
-                    for &i in &sub {
-                        self.tracer.emit(
-                            Some(items[i].id),
-                            EventKind::RungBegin {
-                                rung: 2,
-                                method: "gmres",
-                            },
-                        );
-                    }
-                }
-                // Rung 2 runs under the same preconditioner as rung 1.
-                let g_report = match self.cfg.precond {
-                    PrecondVariant::None => self.run_rung2_gmres(
-                        Identity, tol, &sub_a, &sub_b, &mut sub_x, items, &sub, traced,
-                    )?,
-                    PrecondVariant::Jacobi => self.run_rung2_gmres(
-                        Jacobi, tol, &sub_a, &sub_b, &mut sub_x, items, &sub, traced,
-                    )?,
-                    PrecondVariant::BlockJacobi(bs) => self.run_rung2_gmres(
-                        BlockJacobi::new(bs),
-                        tol,
-                        &sub_a,
-                        &sub_b,
-                        &mut sub_x,
-                        items,
-                        &sub,
-                        traced,
-                    )?,
-                    PrecondVariant::Ilu0 => self.run_rung2_gmres(
-                        Ilu0::new(Arc::clone(&self.pattern)),
-                        tol,
-                        &sub_a,
-                        &sub_b,
-                        &mut sub_x,
-                        items,
-                        &sub,
-                        traced,
-                    )?,
-                };
-                if traced {
-                    self.trace_launch(sub.len(), Self::upload_bytes(items, &sub), &g_report);
-                    for (k, &i) in sub.iter().enumerate() {
-                        let r = &g_report.per_system[k];
-                        self.tracer.emit(
-                            Some(items[i].id),
-                            EventKind::RungEnd {
-                                rung: 2,
-                                method: "gmres",
-                                iterations: r.iterations,
-                                residual: r.residual,
-                                converged: r.converged,
-                                breakdown: r.breakdown,
-                            },
-                        );
-                    }
-                }
-                sim_time_s += g_report.time_s();
-                syncs += g_report.syncs();
-                reductions += g_report.reductions();
-                split.add_transfer(
-                    &self.device,
-                    Self::upload_bytes(items, &sub),
-                    Direction::HostToDevice,
-                );
-                split.add_kernel(&g_report);
-                for (k, &i) in sub.iter().enumerate() {
-                    let r = &g_report.per_system[k];
-                    let o = &mut outcomes[i];
-                    o.rungs.push(RungAttempt {
-                        method: SolveMethod::Gmres,
-                        iterations: r.iterations,
-                        residual: r.residual,
-                        converged: r.converged,
-                        breakdown: r.breakdown,
-                    });
-                    o.iterations += r.iterations;
-                    if r.converged {
-                        o.x = sub_x.system(k).to_vec();
-                        o.residual = r.residual;
-                        o.converged = true;
-                        o.method = SolveMethod::Gmres;
-                        o.breakdown = None;
-                    } else {
-                        o.breakdown = r.breakdown.or(o.breakdown);
-                    }
-                }
+        let sub = stragglers(&out.outcomes);
+        if self.cfg.enable_gmres && !sub.is_empty() {
+            let (sub_a, sub_b, sub_dims) = self.assemble(items, &sub)?;
+            let mut sub_x = BatchVectors::zeros(sub_dims);
+            for (k, &i) in sub.iter().enumerate() {
+                sub_x.system_mut(k).copy_from_slice(&out.outcomes[i].x);
             }
+            let gmres = BatchGmres::new(Jacobi, AbsResidual::new(tol), self.cfg.gmres_restart)
+                .with_max_iters(self.cfg.gmres_max_iters);
+            let report = self.run_rung(2, "gmres", items, &sub, &mut out, || {
+                if self.tracer.is_enabled() {
+                    gmres.solve_logged(&self.device, &sub_a, &sub_b, &mut sub_x, |k| {
+                        TraceLogger::new(&self.tracer, items[sub[k]].id, 2)
+                    })
+                } else {
+                    gmres.solve(&self.device, &sub_a, &sub_b, &mut sub_x)
+                }
+            })?;
+            absorb(&mut out.outcomes, &sub, &report, &sub_x, SolveMethod::Gmres);
         }
 
         // Rung 3: banded-LU direct solve — always produces a solution
         // modulo genuine singularity, so a missed iteration cap degrades
         // to dgbsv cost instead of an error.
-        if self.cfg.enable_fallback {
-            let sub = stragglers(&outcomes);
-            if !sub.is_empty() {
-                let sub_values: Vec<Vec<f64>> =
-                    sub.iter().map(|&i| items[i].values.clone()).collect();
-                let sub_a = BatchCsr::from_system_values(Arc::clone(&self.pattern), &sub_values)?;
-                let banded = BatchBanded::from_csr(&sub_a)?;
-                let sub_dims = BatchDims::new(sub.len(), n)?;
-                let mut sub_rhs = Vec::with_capacity(sub.len() * n);
-                for &i in &sub {
-                    sub_rhs.extend_from_slice(&items[i].rhs);
-                }
-                let sub_b = BatchVectors::from_values(sub_dims, sub_rhs)?;
-                let mut sub_x = BatchVectors::zeros(sub_dims);
-                if traced {
-                    for &i in &sub {
-                        self.tracer.emit(
-                            Some(items[i].id),
-                            EventKind::RungBegin {
-                                rung: 3,
-                                method: "banded-lu",
-                            },
-                        );
-                    }
-                }
-                let lu_report = BatchBandedLu.solve(&self.device, &banded, &sub_b, &mut sub_x)?;
-                if traced {
-                    self.trace_launch(sub.len(), Self::upload_bytes(items, &sub), &lu_report);
-                    for (k, &i) in sub.iter().enumerate() {
-                        let lr = &lu_report.per_system[k];
-                        self.tracer.emit(
-                            Some(items[i].id),
-                            EventKind::RungEnd {
-                                rung: 3,
-                                method: "banded-lu",
-                                iterations: lr.iterations,
-                                residual: lr.residual,
-                                converged: lr.converged,
-                                breakdown: lr.breakdown,
-                            },
-                        );
-                    }
-                }
-                sim_time_s += lu_report.time_s();
-                syncs += lu_report.syncs();
-                reductions += lu_report.reductions();
-                split.add_transfer(
-                    &self.device,
-                    Self::upload_bytes(items, &sub),
-                    Direction::HostToDevice,
-                );
-                split.add_kernel(&lu_report);
-                for (k, &i) in sub.iter().enumerate() {
-                    let lr = &lu_report.per_system[k];
-                    let o = &mut outcomes[i];
-                    o.rungs.push(RungAttempt {
-                        method: SolveMethod::BandedLuFallback,
-                        iterations: lr.iterations,
-                        residual: lr.residual,
-                        converged: lr.converged,
-                        breakdown: lr.breakdown,
-                    });
-                    if lr.converged {
-                        o.x = sub_x.system(k).to_vec();
-                        o.residual = lr.residual;
-                        o.converged = true;
-                        o.method = SolveMethod::BandedLuFallback;
-                        o.breakdown = None;
-                    } else {
-                        o.breakdown = lr.breakdown.or(o.breakdown);
-                    }
-                }
-            }
-        }
-
-        // Download of the solutions, one fused d2h copy for the batch.
-        if traced {
-            self.tracer.emit(
-                None,
-                transfer_event(
-                    &self.device,
-                    (items.len() * n * 8) as u64,
-                    Direction::DeviceToHost,
-                )
-                .with_shard(self.shard),
+        let sub = stragglers(&out.outcomes);
+        if self.cfg.enable_fallback && !sub.is_empty() {
+            let (sub_a, sub_b, sub_dims) = self.assemble(items, &sub)?;
+            let banded = BatchBanded::from_csr(&sub_a)?;
+            let mut sub_x = BatchVectors::zeros(sub_dims);
+            let report = self.run_rung(3, "banded-lu", items, &sub, &mut out, || {
+                BatchBandedLu.solve(&self.device, &banded, &sub_b, &mut sub_x)
+            })?;
+            absorb(
+                &mut out.outcomes,
+                &sub,
+                &report,
+                &sub_x,
+                SolveMethod::BandedLuFallback,
             );
         }
 
-        split.add_transfer(
-            &self.device,
-            (items.len() * n * 8) as u64,
-            Direction::DeviceToHost,
-        );
+        // Download of the solutions, one fused d2h copy for the batch.
+        let download = (items.len() * n * 8) as u64;
+        if self.tracer.is_enabled() {
+            self.tracer.emit(
+                None,
+                transfer_event(&self.device, download, Direction::DeviceToHost)
+                    .with_shard(self.shard),
+            );
+        }
+        out.split
+            .add_transfer(&self.device, download, Direction::DeviceToHost);
+        Ok(out)
+    }
+}
 
-        Ok(BatchReport {
-            outcomes,
-            sim_time_s,
-            syncs,
-            reductions,
-            solver: method,
-            split,
-        })
+/// Fold an escalation rung's results over `sub` into the outcomes: the
+/// attempt is recorded, and a system the rung converged takes its
+/// solution. Iterations add up over the iterative rungs only.
+fn absorb(
+    outcomes: &mut [ItemOutcome],
+    sub: &[usize],
+    report: &BatchSolveReport,
+    x: &BatchVectors<f64>,
+    method: SolveMethod,
+) {
+    for (k, (&i, r)) in sub.iter().zip(&report.per_system).enumerate() {
+        let o = &mut outcomes[i];
+        o.rungs.push(RungAttempt {
+            method,
+            iterations: r.iterations,
+            residual: r.residual,
+            converged: r.converged,
+            breakdown: r.breakdown,
+        });
+        if method != SolveMethod::BandedLuFallback {
+            o.iterations += r.iterations;
+        }
+        if r.converged {
+            o.x = x.system(k).to_vec();
+            o.residual = r.residual;
+            o.converged = true;
+            o.method = method;
+            o.breakdown = None;
+        } else {
+            o.breakdown = r.breakdown.or(o.breakdown);
+        }
     }
 }
 
@@ -843,7 +610,6 @@ mod tests {
             gmres_max_iters: 300,
             enable_fallback: true,
             solver: SolverVariant::Bicgstab,
-            precond: PrecondVariant::Jacobi,
         }
     }
 
@@ -885,72 +651,6 @@ mod tests {
                 tolerance: None,
             })
             .collect()
-    }
-
-    #[test]
-    fn precond_variant_parses_every_flag_form() {
-        assert_eq!(PrecondVariant::parse("none"), Some(PrecondVariant::None));
-        assert_eq!(
-            PrecondVariant::parse("jacobi"),
-            Some(PrecondVariant::Jacobi)
-        );
-        assert_eq!(
-            PrecondVariant::parse("block-jacobi:8"),
-            Some(PrecondVariant::BlockJacobi(8))
-        );
-        assert_eq!(
-            PrecondVariant::parse("block-jacobi"),
-            Some(PrecondVariant::BlockJacobi(PrecondVariant::DEFAULT_BLOCK))
-        );
-        assert_eq!(PrecondVariant::parse("ilu0"), Some(PrecondVariant::Ilu0));
-        assert_eq!(PrecondVariant::parse("block-jacobi:0"), None);
-        assert_eq!(PrecondVariant::parse("block-jacobi:x"), None);
-        assert_eq!(PrecondVariant::parse("ssor"), None);
-    }
-
-    #[test]
-    fn every_precond_variant_carries_rung_one() {
-        let (pattern, values, rhs) = laplacian_case(32);
-        for pv in [
-            PrecondVariant::None,
-            PrecondVariant::Jacobi,
-            PrecondVariant::BlockJacobi(2),
-            PrecondVariant::Ilu0,
-        ] {
-            let mut c = cfg(1e-10, 200);
-            c.precond = pv;
-            let engine = LadderEngine::new(DeviceSpec::v100(), Arc::clone(&pattern), c);
-            let report = engine.solve_batch(&items_of(&values, &rhs, 3)).unwrap();
-            for o in &report.outcomes {
-                assert!(o.converged, "{}: system {} unconverged", pv.name(), o.id);
-                assert_eq!(
-                    o.rungs.len(),
-                    1,
-                    "{}: healthy systems climb no rungs",
-                    pv.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn ilu0_rung_converges_in_fewer_iterations_than_jacobi() {
-        // ILU(0) on a tridiagonal pattern is an exact factorization, so
-        // rung 1 converges essentially immediately.
-        let (pattern, values, rhs) = laplacian_case(48);
-        let run = |pv: PrecondVariant| {
-            let mut c = cfg(1e-10, 200);
-            c.precond = pv;
-            let engine = LadderEngine::new(DeviceSpec::v100(), Arc::clone(&pattern), c);
-            let report = engine.solve_batch(&items_of(&values, &rhs, 2)).unwrap();
-            report.outcomes.iter().map(|o| o.iterations).max().unwrap()
-        };
-        let jacobi = run(PrecondVariant::Jacobi);
-        let ilu0 = run(PrecondVariant::Ilu0);
-        assert!(
-            ilu0 < jacobi,
-            "ilu0 iterations {ilu0} should beat jacobi {jacobi}"
-        );
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!   queue rejects with [`SubmitError::QueueFull`], never silently drops;
 //! * an **admission gate** — non-finite values/RHS/guess and unusable
 //!   Jacobi diagonals bounce with [`SubmitError::Rejected`] *before* they
-//!   can poison a fused launch shared with healthy requests;
+//!   can poison a fused launch shared with healthy requests; a zero,
+//!   negative or non-finite tolerance, which would stall the whole fused
+//!   batch, bounces with [`SubmitError::InvalidTolerance`] even with the
+//!   gate off;
 //! * a **batch former** with two flush triggers — target batch size
 //!   reached, or the oldest request aged past a configurable linger
 //!   time;
@@ -68,7 +71,6 @@
 //! ```
 
 pub mod admission;
-pub mod autotune;
 pub mod breaker;
 pub mod budget;
 pub mod classes;
@@ -85,20 +87,17 @@ pub mod stats;
 pub mod watchdog;
 
 pub use admission::{AdmissionGate, RejectReason};
-pub use autotune::{AutoTuner, AutoTunerConfig, Decision};
 pub use breaker::{BreakerConfig, CircuitBreaker};
 pub use budget::DeadlineBudget;
 pub use classes::{ClassStats, ClassTracker, ClassesSnapshot};
 pub use config::RuntimeConfig;
 pub use dispatcher::{
-    BatchItem, BatchReport, ItemOutcome, LadderConfig, LadderEngine, PrecondVariant, SimSplit,
-    SolveEngine, SolverVariant,
+    BatchItem, BatchReport, ItemOutcome, LadderConfig, LadderEngine, SimSplit, SolveEngine,
+    SolverVariant,
 };
 pub use executor::{BatchExecutor, ExecMode, ExecReport};
 pub use former::{BatchFormer, FlushReason};
-pub use metrics::{
-    prometheus_text, prometheus_text_full, prometheus_text_with_classes, render_class_series,
-};
+pub use metrics::{prometheus_text, prometheus_text_with_classes, render_class_series};
 pub use queue::{BoundedQueue, PopResult, PushResult};
 pub use request::{
     RequestId, RungAttempt, Solution, SolveError, SolveMethod, SolveOutcome, SolveRequest,

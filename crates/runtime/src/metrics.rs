@@ -10,30 +10,20 @@
 //! and the `ext-trace` experiment use to assert exporter/snapshot
 //! agreement.
 
-use batsolv_trace::{AutotuneChoice, MetricsRegistry, SLO_WINDOWS};
+use batsolv_trace::{MetricsRegistry, SLO_WINDOWS};
 
 use crate::classes::ClassesSnapshot;
 use crate::stats::StatsSnapshot;
 
 /// Render the snapshot as a Prometheus text-format metrics page.
 pub fn prometheus_text(s: &StatsSnapshot) -> String {
-    prometheus_text_full(s, None, &[])
+    prometheus_text_with_classes(s, None)
 }
 
 /// Render the snapshot plus the per-class latency/SLO series.
 pub fn prometheus_text_with_classes(
     s: &StatsSnapshot,
     classes: Option<&ClassesSnapshot>,
-) -> String {
-    prometheus_text_full(s, classes, &[])
-}
-
-/// Render the snapshot, the per-class latency/SLO series, and the
-/// autotuner's current per-class (solver, preconditioner) choices.
-pub fn prometheus_text_full(
-    s: &StatsSnapshot,
-    classes: Option<&ClassesSnapshot>,
-    autotune: &[AutotuneChoice],
 ) -> String {
     let mut m = MetricsRegistry::new();
     m.counter(
@@ -46,6 +36,7 @@ pub fn prometheus_text_full(
     for (reason, count) in [
         ("queue_full", s.rejected_queue_full),
         ("shape", s.rejected_shape),
+        ("tolerance", s.rejected_tolerance),
         ("nonfinite", s.rejected_nonfinite),
         ("zero_diag", s.rejected_zero_diag),
         ("circuit_open", s.rejected_circuit_open),
@@ -209,41 +200,6 @@ pub fn prometheus_text_full(
             "Configured rung-1 solver variant (constant 1, variant in the label).",
             &[("solver", s.solver)],
             1.0,
-        );
-    }
-    if !s.precond.is_empty() {
-        m.gauge(
-            "batsolv_precond_info",
-            "Configured ladder preconditioner (constant 1, name in the label).",
-            &[("precond", s.precond)],
-            1.0,
-        );
-    }
-
-    for a in autotune {
-        let class = a.class.name();
-        m.gauge(
-            "batsolv_autotune_info",
-            "Autotuner per-class solver/preconditioner choice (constant 1, \
-             choice in the labels).",
-            &[
-                ("class", class),
-                ("solver", a.solver),
-                ("precond", a.precond),
-            ],
-            1.0,
-        )
-        .counter(
-            "batsolv_autotune_observations_total",
-            "Terminal convergence records the autotuner observed per class.",
-            &[("class", class)],
-            a.observations as f64,
-        )
-        .gauge(
-            "batsolv_autotune_revision",
-            "Times the autotuner changed a class's choice (0 = first choice).",
-            &[("class", class)],
-            a.revision as f64,
         );
     }
 
@@ -473,66 +429,5 @@ mod tests {
         );
         // The slow request's trace id rides the tail bucket as an exemplar.
         assert!(page.contains("trace_id=\"4\""), "{page}");
-    }
-
-    #[test]
-    fn precond_and_autotune_series_render_and_conform() {
-        let r = StatsRegistry::new();
-        r.set_precond("ilu0");
-        let choices = vec![
-            AutotuneChoice {
-                class: WorkloadClass::IonLike,
-                solver: "bicgstab-fused",
-                precond: "jacobi",
-                observations: 17,
-                revision: 0,
-            },
-            AutotuneChoice {
-                class: WorkloadClass::ElectronLike,
-                solver: "bicgstab",
-                precond: "ilu0",
-                observations: 40,
-                revision: 2,
-            },
-        ];
-        let page = prometheus_text_full(&r.snapshot(), None, &choices);
-        check_prom_conformance(&page).expect("autotune page conforms");
-        assert_eq!(
-            parse_prom_labeled(&page, "batsolv_precond_info", &[("precond", "ilu0")]),
-            Some(1.0)
-        );
-        for c in &choices {
-            assert_eq!(
-                parse_prom_labeled(
-                    &page,
-                    "batsolv_autotune_info",
-                    &[
-                        ("class", c.class.name()),
-                        ("solver", c.solver),
-                        ("precond", c.precond),
-                    ],
-                ),
-                Some(1.0)
-            );
-            assert_eq!(
-                parse_prom_labeled(
-                    &page,
-                    "batsolv_autotune_observations_total",
-                    &[("class", c.class.name())],
-                ),
-                Some(c.observations as f64)
-            );
-            assert_eq!(
-                parse_prom_labeled(
-                    &page,
-                    "batsolv_autotune_revision",
-                    &[("class", c.class.name())],
-                ),
-                Some(c.revision as f64)
-            );
-        }
-        // No autotuner, no autotune families.
-        let bare = prometheus_text(&r.snapshot());
-        assert!(!bare.contains("batsolv_autotune_"));
     }
 }

@@ -19,7 +19,8 @@ pub struct SolveRequest {
     /// Optional initial guess (Picard warm start); zeros when absent.
     pub guess: Option<Vec<f64>>,
     /// Per-request absolute residual tolerance; the service default when
-    /// absent. A batch is solved to the tightest tolerance it contains.
+    /// absent. A batch is solved to the tightest tolerance it contains,
+    /// so submission refuses one that is not positive and finite.
     pub tolerance: Option<f64>,
     /// Maximum time the request may wait in the queue before being
     /// abandoned with [`SolveError::DeadlineExceeded`].
@@ -54,6 +55,20 @@ impl SolveRequest {
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
+    }
+
+    /// The submission check both serving cores run on the tolerance. A
+    /// fused launch stops at its tightest member's tolerance and the
+    /// stop test is `residual < tol`, so a zero, negative or NaN
+    /// tolerance would make the whole batch unreachable and drag every
+    /// member down the ladder.
+    pub fn check_tolerance(&self) -> Result<(), SubmitError> {
+        match self.tolerance {
+            Some(tolerance) if !(tolerance.is_finite() && tolerance > 0.0) => {
+                Err(SubmitError::InvalidTolerance { tolerance })
+            }
+            _ => Ok(()),
+        }
     }
 }
 
@@ -214,6 +229,11 @@ pub enum SubmitError {
         /// Length submitted.
         got: usize,
     },
+    /// The per-request tolerance is zero, negative or not finite.
+    InvalidTolerance {
+        /// The tolerance submitted.
+        tolerance: f64,
+    },
     /// The admission gate refused the payload (non-finite data, unusable
     /// Jacobi diagonal) before it could poison a fused launch.
     Rejected {
@@ -251,6 +271,9 @@ impl std::fmt::Display for SubmitError {
                 expected,
                 got,
             } => write!(f, "{field} has length {got}, pattern requires {expected}"),
+            SubmitError::InvalidTolerance { tolerance } => {
+                write!(f, "tolerance {tolerance:e} is not positive and finite")
+            }
             SubmitError::Rejected { reason } => write!(f, "rejected at admission: {reason}"),
             SubmitError::CircuitOpen { retry_after } => write!(
                 f,

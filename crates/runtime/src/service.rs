@@ -22,7 +22,6 @@ use batsolv_trace::{classify, EventKind, PhaseLedger, Tracer};
 use batsolv_types::{Error, Result};
 
 use crate::admission::{AdmissionGate, RejectReason};
-use crate::autotune::AutoTuner;
 use crate::breaker::CircuitBreaker;
 use crate::classes::{ClassTracker, ClassesSnapshot};
 use crate::config::RuntimeConfig;
@@ -53,9 +52,6 @@ struct Shared {
     watch: Arc<WatchState>,
     breaker: Option<CircuitBreaker>,
     tracer: Tracer,
-    /// Telemetry autotuner, when the config enables one. Observes every
-    /// terminal convergence record through [`record_terminal`].
-    autotune: Option<AutoTuner>,
     /// Monotonic batch sequence; lives here (not in the worker) so it
     /// survives worker respawns.
     batch_seq: AtomicU64,
@@ -105,16 +101,10 @@ fn build_ledger(
     ledger
 }
 
-/// Emit the ledger event and feed the class tracker and autotuner — the
-/// single point every terminal outcome funnels through.
+/// Emit the ledger event and feed the class tracker — the single point
+/// every terminal outcome funnels through.
 fn record_terminal(shared: &Shared, id: u64, ledger: PhaseLedger) {
     shared.classes.observe_ledger(Some(id), &ledger);
-    if let Some(tuner) = &shared.autotune {
-        let converged = ledger.outcome.starts_with("converged");
-        if let Some(decision) = tuner.observe(ledger.class, ledger.iterations, converged) {
-            shared.tracer.emit(None, decision.to_event());
-        }
-    }
     shared.tracer.emit(Some(id), EventKind::Ledger(ledger));
 }
 
@@ -184,11 +174,9 @@ impl SolveService {
             watch: Arc::new(WatchState::new()),
             breaker: config.breaker.map(CircuitBreaker::new),
             tracer: config.tracer.clone(),
-            autotune: config.autotune.map(AutoTuner::new),
             batch_seq: AtomicU64::new(0),
         });
         shared.stats.set_solver(config.solver.name());
-        shared.stats.set_precond(config.precond.name());
         let gate = config
             .validate_admission
             .then(|| AdmissionGate::new(&pattern, config.min_diag_abs));
@@ -237,9 +225,10 @@ impl SolveService {
     /// Submit one system. Non-blocking: a full queue rejects with
     /// [`SubmitError::QueueFull`] instead of stalling the caller — the
     /// backpressure signal of the service. Poisoned payloads bounce with
-    /// [`SubmitError::Rejected`] before they can share a fused launch
-    /// with healthy work, and an open circuit breaker sheds load with
-    /// [`SubmitError::CircuitOpen`].
+    /// [`SubmitError::Rejected`] and unreachable tolerances with
+    /// [`SubmitError::InvalidTolerance`] before they can share a fused
+    /// launch with healthy work, and an open circuit breaker sheds load
+    /// with [`SubmitError::CircuitOpen`].
     pub fn submit(&self, request: SolveRequest) -> std::result::Result<Ticket, SubmitError> {
         let submit_started = Instant::now();
         let nnz = self.pattern.nnz();
@@ -277,6 +266,11 @@ impl SolveService {
                     got: g.len(),
                 });
             }
+        }
+        if let Err(e) = request.check_tolerance() {
+            self.shared.stats.on_rejected_tolerance();
+            reject("tolerance");
+            return Err(e);
         }
         if let Some(gate) = &self.gate {
             if let Err(reason) = gate.check(&request.values, &request.rhs, request.guess.as_deref())
@@ -352,25 +346,10 @@ impl SolveService {
         self.shared.classes.snapshot()
     }
 
-    /// Current autotuner per-class choices (empty when autotuning is
-    /// disabled or no terminal outcome has been observed yet).
-    pub fn autotune_choices(&self) -> Vec<batsolv_trace::AutotuneChoice> {
-        self.shared
-            .autotune
-            .as_ref()
-            .map(AutoTuner::choices)
-            .unwrap_or_default()
-    }
-
     /// The full Prometheus metrics page: service counters plus the
-    /// per-class latency, deadline, and burn-rate series (and, when the
-    /// autotuner runs, its per-class choice series).
+    /// per-class latency, deadline, and burn-rate series.
     pub fn prometheus(&self) -> String {
-        crate::metrics::prometheus_text_full(
-            &self.stats(),
-            Some(&self.classes()),
-            &self.autotune_choices(),
-        )
+        crate::metrics::prometheus_text_with_classes(&self.stats(), Some(&self.classes()))
     }
 
     /// Stop accepting work, drain everything already queued, and join
@@ -407,7 +386,6 @@ fn ladder_config(config: &RuntimeConfig) -> LadderConfig {
         gmres_max_iters: config.gmres_max_iters,
         enable_fallback: config.enable_fallback,
         solver: config.solver,
-        precond: config.precond,
     }
 }
 

@@ -38,8 +38,6 @@ struct Sampled {
     rung_hist: [u64; RUNG_BUCKETS],
     /// Name of the configured rung-1 solver variant ("" until set).
     solver: &'static str,
-    /// Name of the configured ladder preconditioner ("" until set).
-    precond: &'static str,
 }
 
 /// Shared counter registry written by the service, read via
@@ -49,6 +47,7 @@ pub struct StatsRegistry {
     accepted: AtomicU64,
     rejected_full: AtomicU64,
     rejected_shape: AtomicU64,
+    rejected_tolerance: AtomicU64,
     rejected_nonfinite: AtomicU64,
     rejected_zero_diag: AtomicU64,
     rejected_circuit_open: AtomicU64,
@@ -84,6 +83,10 @@ impl StatsRegistry {
 
     pub(crate) fn on_rejected_shape(&self) {
         self.rejected_shape.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn on_rejected_tolerance(&self) {
+        self.rejected_tolerance.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn on_rejected_nonfinite(&self) {
@@ -125,11 +128,6 @@ impl StatsRegistry {
     /// Record the configured rung-1 solver variant (once, at startup).
     pub(crate) fn set_solver(&self, name: &'static str) {
         self.sampled.lock().unwrap().solver = name;
-    }
-
-    /// Record the configured ladder preconditioner (once, at startup).
-    pub(crate) fn set_precond(&self, name: &'static str) {
-        self.sampled.lock().unwrap().precond = name;
     }
 
     /// Accumulate one dispatch's simulated synchronization counters.
@@ -189,6 +187,7 @@ impl StatsRegistry {
             accepted: self.accepted.load(Ordering::Relaxed),
             rejected_queue_full: self.rejected_full.load(Ordering::Relaxed),
             rejected_shape: self.rejected_shape.load(Ordering::Relaxed),
+            rejected_tolerance: self.rejected_tolerance.load(Ordering::Relaxed),
             rejected_nonfinite: self.rejected_nonfinite.load(Ordering::Relaxed),
             rejected_zero_diag: self.rejected_zero_diag.load(Ordering::Relaxed),
             rejected_circuit_open: self.rejected_circuit_open.load(Ordering::Relaxed),
@@ -214,7 +213,6 @@ impl StatsRegistry {
             sim_syncs_total: self.sim_syncs_total.load(Ordering::Relaxed),
             sim_reductions_total: self.sim_reductions_total.load(Ordering::Relaxed),
             solver: s.solver,
-            precond: s.precond,
         }
     }
 }
@@ -246,6 +244,8 @@ pub struct StatsSnapshot {
     pub rejected_queue_full: u64,
     /// Requests rejected with [`crate::SubmitError::ShapeMismatch`].
     pub rejected_shape: u64,
+    /// Requests rejected with [`crate::SubmitError::InvalidTolerance`].
+    pub rejected_tolerance: u64,
     /// Requests rejected by the admission gate for non-finite payloads.
     pub rejected_nonfinite: u64,
     /// Requests rejected by the admission gate for unusable diagonals.
@@ -299,8 +299,6 @@ pub struct StatsSnapshot {
     pub sim_reductions_total: u64,
     /// Configured rung-1 solver variant ("" until the service sets it).
     pub solver: &'static str,
-    /// Configured ladder preconditioner ("" until the service sets it).
-    pub precond: &'static str,
 }
 
 impl StatsSnapshot {
@@ -319,6 +317,7 @@ impl StatsSnapshot {
     pub fn rejected_total(&self) -> u64 {
         self.rejected_queue_full
             + self.rejected_shape
+            + self.rejected_tolerance
             + self.rejected_nonfinite
             + self.rejected_zero_diag
             + self.rejected_circuit_open
@@ -342,8 +341,9 @@ impl StatsSnapshot {
         let mut out = String::new();
         out.push_str("solve service stats\n");
         out.push_str(&format!(
-            "  requests : {} accepted, {} rejected (queue full), {} rejected (shape)\n",
-            self.accepted, self.rejected_queue_full, self.rejected_shape
+            "  requests : {} accepted, {} rejected (queue full), {} rejected (shape), \
+             {} rejected (tolerance)\n",
+            self.accepted, self.rejected_queue_full, self.rejected_shape, self.rejected_tolerance
         ));
         out.push_str(&format!(
             "  admission: {} rejected (non-finite), {} rejected (zero diagonal), \
@@ -420,9 +420,6 @@ impl StatsSnapshot {
                 "  variant  : {} ({} syncs, {} reductions simulated)\n",
                 self.solver, self.sim_syncs_total, self.sim_reductions_total
             ));
-        }
-        if !self.precond.is_empty() {
-            out.push_str(&format!("  precond  : {}\n", self.precond));
         }
         out
     }

@@ -16,8 +16,8 @@ use batsolv_faults::{FaultKind, FaultPlan, FaultRates};
 use batsolv_formats::SparsityPattern;
 use batsolv_gpusim::DeviceSpec;
 use batsolv_runtime::{
-    BreakerConfig, PrecondVariant, RuntimeConfig, SolveError, SolveMethod, SolveOutcome,
-    SolveRequest, SolveService, SubmitError,
+    BreakerConfig, RuntimeConfig, SolveError, SolveMethod, SolveOutcome, SolveRequest,
+    SolveService, SubmitError,
 };
 
 /// Silence panic backtraces from the supervised worker (injected panics
@@ -95,23 +95,9 @@ struct ChaosRun {
 /// Data faults are applied pre-submission (keyed by submission index);
 /// launch faults fire inside the engine (keyed by service request id).
 fn run_chaos(plan: &FaultPlan, batch_target: usize, count: usize, admission: bool) -> ChaosRun {
-    run_chaos_with(plan, batch_target, count, admission, PrecondVariant::Jacobi)
-}
-
-/// [`run_chaos`] with an explicit ladder preconditioner, so the chaos
-/// matrix can drive poisoned systems through the ILU(0) factorization.
-fn run_chaos_with(
-    plan: &FaultPlan,
-    batch_target: usize,
-    count: usize,
-    admission: bool,
-    precond: PrecondVariant,
-) -> ChaosRun {
     quiet_worker_panics();
     let pattern = tridiag_pattern(24);
-    let config = base_config(batch_target)
-        .with_admission(admission)
-        .with_precond(precond);
+    let config = base_config(batch_target).with_admission(admission);
     let service =
         SolveService::start_with_hook(Arc::clone(&pattern), config, Arc::new(plan.clone()))
             .unwrap();
@@ -640,42 +626,4 @@ fn watchdog_stall_dumps_flight_recorder_with_guilty_trace() {
         .snapshot()
         .iter()
         .any(|e| matches!(e.kind, EventKind::FlightDump { .. })));
-}
-
-/// NaN and (near-)zero-diagonal poison driven through the ILU(0)
-/// factorization: the in-pattern elimination hits an unusable pivot or
-/// non-finite multiplier, reports a structured preconditioner breakdown
-/// (never a panic, never silent garbage), and the system falls down the
-/// ladder to GMRES and then the unpreconditioned banded-LU direct rung.
-/// The exactly-one-outcome invariant must survive, and every clean
-/// batchmate must still converge.
-#[test]
-fn ilu0_factorization_breakdown_falls_down_the_ladder() {
-    let rates = FaultRates {
-        nan_values: 0.08,
-        inf_values: 0.04,
-        zero_diagonal: 0.06,
-        near_zero_diagonal: 0.06,
-        singular_row: 0.05,
-        ..Default::default()
-    };
-    for &batch in &[1usize, 16] {
-        let count = 48;
-        let plan = FaultPlan::new(0x1100 ^ batch as u64, rates);
-        let run = run_chaos_with(&plan, batch, count, false, PrecondVariant::Ilu0);
-        assert_invariants(&run, count);
-        assert!(run.rejected.is_empty(), "admission gate was disabled");
-        // Clean systems are tridiagonal and diagonally dominant, so
-        // ILU(0) on them is the exact factorization: every non-faulted
-        // request must converge even with poisoned batchmates.
-        for (i, outcome) in &run.outcomes {
-            if plan.data_fault_for(*i as u64).is_none() {
-                assert!(
-                    outcome.is_ok(),
-                    "clean request {i} failed next to poisoned batchmates: {:?}",
-                    outcome.as_ref().err()
-                );
-            }
-        }
-    }
 }

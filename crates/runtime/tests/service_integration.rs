@@ -412,3 +412,51 @@ fn expired_deadline_emits_an_undispatched_ledger() {
     assert!(expired.balanced_within(1.0), "unbalanced: {expired:?}");
     assert!(ledgers.iter().any(|l| l.outcome != "deadline_exceeded"));
 }
+
+/// A fused launch stops at its tightest member's tolerance, so a zero,
+/// negative or NaN tolerance would hold every batchmate through all three
+/// rungs. Submission refuses it with a structured error, and the batch it
+/// would have joined solves on rung 1.
+#[test]
+fn unreachable_tolerance_is_refused_and_spares_its_batchmates() {
+    let pattern = Arc::new(SparsityPattern::stencil_2d(6, 6, false));
+    let values: Vec<f64> = (0..pattern.num_rows())
+        .flat_map(|r| {
+            pattern
+                .row_cols(r)
+                .iter()
+                .map(move |&c| if c as usize == r { 8.0 } else { -1.0 })
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let request = || SolveRequest::new(values.clone(), vec![1.0; pattern.num_rows()]);
+    for bad in [0.0, -1.0, f64::NAN] {
+        let config = RuntimeConfig::new(DeviceSpec::v100())
+            .with_batch_target(8)
+            .with_linger(Duration::from_millis(50));
+        let service = SolveService::start(Arc::clone(&pattern), config).unwrap();
+        let mut tickets = Vec::new();
+        for i in 0..8 {
+            if i == 3 {
+                match service.submit(request().with_tolerance(bad)) {
+                    Err(SubmitError::InvalidTolerance { tolerance }) => {
+                        assert_eq!(tolerance.to_bits(), bad.to_bits())
+                    }
+                    other => panic!("tolerance {bad}: expected InvalidTolerance, got {other:?}"),
+                }
+            } else {
+                tickets.push(service.submit(request()).unwrap());
+            }
+        }
+        for t in tickets {
+            let sol = t.wait().expect("batchmates must converge");
+            assert_eq!(sol.method, SolveMethod::Bicgstab, "tolerance {bad}");
+            assert_eq!(sol.rungs.len(), 1, "tolerance {bad}: no escalation");
+            assert!(sol.residual < 1e-10);
+        }
+        let stats = service.shutdown();
+        assert_eq!(stats.accepted, 7);
+        assert_eq!(stats.rejected_tolerance, 1);
+        assert_eq!(stats.rejected_total(), 1);
+    }
+}

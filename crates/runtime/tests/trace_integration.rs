@@ -224,139 +224,3 @@ fn untraced_service_emits_nothing_and_still_solves() {
     assert!(t.wait().is_ok());
     assert_eq!(service.shutdown().accepted, 1);
 }
-
-/// A tridiagonal system whose diagonal dominance controls which
-/// iteration band it converges in: strongly dominant rows land ion-like,
-/// weakly dominant ones electron-like.
-fn graded_system(pattern: &SparsityPattern, i: usize, dominance: f64) -> (Vec<f64>, Vec<f64>) {
-    let n = pattern.num_rows();
-    let mut values = Vec::with_capacity(pattern.nnz());
-    for r in 0..n {
-        for &c in pattern.row_cols(r) {
-            if c as usize == r {
-                values.push(dominance + 0.01 * (i % 17) as f64);
-            } else {
-                values.push(-1.0);
-            }
-        }
-    }
-    let rhs: Vec<f64> = (0..n).map(|r| 1.0 + 0.1 * ((i + r) % 7) as f64).collect();
-    (values, rhs)
-}
-
-/// The autotuner's per-class choice must read identically on every
-/// surface it is exported through: the `AutotuneDecision` trace events,
-/// the Prometheus `batsolv_autotune_*` series, and the `--profile-out`
-/// ledger report's `autotune` JSON section.
-#[test]
-fn autotune_choices_agree_across_trace_prometheus_and_ledger_report() {
-    use batsolv_runtime::AutoTunerConfig;
-    use batsolv_trace::{parse_prom_labeled, LedgerAggregator, WorkloadClass};
-
-    let pattern = tridiag_pattern(48);
-    let sink = Arc::new(MemorySink::new());
-    let config = RuntimeConfig::new(DeviceSpec::v100())
-        .with_batch_target(4)
-        .with_linger(Duration::from_millis(1))
-        .with_autotune(Some(AutoTunerConfig { window: 4, seed: 0 }))
-        .with_tracer(Tracer::new(sink.clone()));
-    let service = SolveService::start(Arc::clone(&pattern), config).unwrap();
-
-    // Mixed workload: even requests are strongly dominant (ion band),
-    // odd ones weakly dominant (electron band).
-    let tickets: Vec<_> = (0..24)
-        .map(|i| {
-            let dominance = if i % 2 == 0 { 5.0 } else { 2.002 };
-            let (values, rhs) = graded_system(&pattern, i, dominance);
-            service.submit(SolveRequest::new(values, rhs)).unwrap()
-        })
-        .collect();
-    for t in tickets {
-        t.wait().unwrap();
-    }
-
-    // Capture all three surfaces at the same instant, before shutdown.
-    let choices = service.autotune_choices();
-    let page = service.prometheus();
-    let report = LedgerAggregator::build(&sink.snapshot())
-        .report(1.0)
-        .with_autotune(choices.clone())
-        .to_json();
-    service.shutdown();
-    let events = sink.snapshot();
-
-    assert!(
-        choices.iter().any(|c| c.class == WorkloadClass::IonLike),
-        "strongly dominant systems must produce an ion-like choice"
-    );
-    assert!(
-        choices.len() >= 2,
-        "mixed workload must tune at least two classes, got {choices:?}"
-    );
-
-    for c in &choices {
-        let name = c.class.name();
-        // Surface 1: the newest AutotuneDecision trace event of the
-        // class carries the same (solver, precond, revision). (Its
-        // observation count may lag the live choice: unchanged window
-        // recommits are deliberately silent.)
-        let last = events
-            .iter()
-            .rev()
-            .find_map(|e| match e.kind {
-                EventKind::AutotuneDecision {
-                    class,
-                    solver,
-                    precond,
-                    revision,
-                    ..
-                } if class == name => Some((solver, precond, revision)),
-                _ => None,
-            })
-            .unwrap_or_else(|| panic!("no AutotuneDecision trace event for class {name}"));
-        assert_eq!(
-            last,
-            (c.solver, c.precond, c.revision),
-            "trace disagrees for {name}"
-        );
-
-        // Surface 2: the Prometheus page exports the identical choice.
-        assert_eq!(
-            parse_prom_labeled(
-                &page,
-                "batsolv_autotune_info",
-                &[
-                    ("class", name),
-                    ("solver", c.solver),
-                    ("precond", c.precond)
-                ],
-            ),
-            Some(1.0),
-            "prometheus info series disagrees for {name}"
-        );
-        assert_eq!(
-            parse_prom_labeled(
-                &page,
-                "batsolv_autotune_observations_total",
-                &[("class", name)]
-            ),
-            Some(c.observations as f64)
-        );
-        assert_eq!(
-            parse_prom_labeled(&page, "batsolv_autotune_revision", &[("class", name)]),
-            Some(c.revision as f64)
-        );
-
-        // Surface 3: the ledger report renders the identical choice in
-        // its `autotune` section.
-        let expected = format!(
-            "\"{name}\":{{\"solver\":\"{}\",\"precond\":\"{}\",\
-             \"observations\":{},\"revision\":{}}}",
-            c.solver, c.precond, c.observations, c.revision
-        );
-        assert!(
-            report.contains(&expected),
-            "ledger report disagrees for {name}: wanted {expected} in {report}"
-        );
-    }
-}

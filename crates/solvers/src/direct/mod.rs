@@ -6,16 +6,12 @@
 //! * [`sparse_qr`] — a Givens-rotation QR on band storage, standing in
 //!   for cuSolver's `csrqrsvBatched` (the only vendor-provided batched
 //!   sparse solver, shown in Figure 6 to be 10–30× slower than batched
-//!   BiCGSTAB);
-//! * [`cyclic_reduction`] — a batched tridiagonal solver in the style of
-//!   cuSPARSE's `gtsv2StridedBatch` (the related-work Section III line).
+//!   BiCGSTAB).
 
 pub mod banded_lu;
-pub mod cyclic_reduction;
 pub mod dense_lu;
 pub mod sparse_qr;
 
 pub use banded_lu::BatchBandedLu;
-pub use cyclic_reduction::BatchCyclicReduction;
 pub use dense_lu::BatchDenseLu;
 pub use sparse_qr::BatchSparseQr;

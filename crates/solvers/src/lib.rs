@@ -20,8 +20,7 @@
 //!   Section IV.D: SpMV-operand ("red") vectors are placed in shared
 //!   memory first, other intermediates next, the rest spill to global;
 //! * [`direct`] — the baselines: a banded LU (`dgbsv`, the CPU
-//!   comparator), a Givens sparse QR (the cuSolver comparator), and a
-//!   batched cyclic-reduction tridiagonal solver (related work);
+//!   comparator) and a Givens sparse QR (the cuSolver comparator);
 //! * [`monolithic`] — the Section II ablation: the whole batch assembled
 //!   into one block-diagonal system and solved by a single non-batched
 //!   BiCGSTAB with global (worst-system) convergence.

@@ -16,10 +16,10 @@
 use std::sync::Arc;
 
 use batsolv_formats::{
-    BatchBanded, BatchCsr, BatchDense, BatchMatrix, BatchTridiag, BatchVectors, SparsityPattern,
+    BatchBanded, BatchCsr, BatchDense, BatchMatrix, BatchVectors, SparsityPattern,
 };
 use batsolv_gpusim::DeviceSpec;
-use batsolv_solvers::direct::{BatchBandedLu, BatchCyclicReduction, BatchDenseLu, BatchSparseQr};
+use batsolv_solvers::direct::{BatchBandedLu, BatchDenseLu, BatchSparseQr};
 use batsolv_solvers::monolithic::MonolithicBicgstab;
 use batsolv_solvers::{
     AbsResidual, BatchBicgstab, BatchCg, BatchCgs, BatchGmres, BatchRichardson, Jacobi,
@@ -224,25 +224,6 @@ proptest! {
         let rep = BatchDenseLu.solve(&device, &dense, &b, &mut x).unwrap();
         check_contract("dense-lu", &dense, &b, &x, &rep.per_system);
         check_poison_failed("dense-lu", &rep.per_system);
-
-        // Cyclic reduction consumes the tridiagonal layout directly.
-        let tri = BatchTridiag::from_fn(dims, |s, r| {
-            let at = |c: usize| {
-                a.pattern()
-                    .find(r, c)
-                    .map(|k| a.values_of(s)[k])
-                    .unwrap_or(0.0)
-            };
-            (
-                if r > 0 { at(r - 1) } else { 0.0 },
-                at(r),
-                if r + 1 < n { at(r + 1) } else { 0.0 },
-            )
-        });
-        let mut x = BatchVectors::zeros(dims);
-        let rep = BatchCyclicReduction.solve(&device, &tri, &b, &mut x).unwrap();
-        check_contract("cyclic-reduction", &tri, &b, &x, &rep.per_system);
-        check_poison_failed("cyclic-reduction", &rep.per_system);
     }
 
     #[test]

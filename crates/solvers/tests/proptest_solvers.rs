@@ -7,7 +7,6 @@ use std::sync::Arc;
 use batsolv_formats::{BatchBanded, BatchCsr, BatchMatrix, BatchVectors, SparsityPattern};
 use batsolv_gpusim::DeviceSpec;
 use batsolv_solvers::direct::banded_lu::{gbtrf, gbtrs};
-use batsolv_solvers::direct::cyclic_reduction::{cr_solve, thomas_solve};
 use batsolv_solvers::precond::Preconditioner;
 use batsolv_solvers::workspace::{WorkspacePlan, BICGSTAB_VECTORS};
 use batsolv_solvers::{
@@ -284,20 +283,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn cyclic_reduction_equals_thomas(
-        n in 1usize..80,
-        seed in 0u64..10_000,
-    ) {
-        let h = |k: usize| ((seed as usize + k * 37) % 100) as f64 / 100.0;
-        let dl: Vec<f64> = (0..n).map(|i| if i == 0 { 0.0 } else { -0.5 - h(i) }).collect();
-        let d: Vec<f64> = (0..n).map(|i| 3.0 + h(i + n)).collect();
-        let du: Vec<f64> = (0..n).map(|i| if i + 1 == n { 0.0 } else { -0.4 - h(i + 2 * n) }).collect();
-        let b: Vec<f64> = (0..n).map(|i| h(i + 3 * n) - 0.5).collect();
-        let x_cr = cr_solve(&dl, &d, &du, &b).unwrap();
-        let x_th = thomas_solve(&dl, &d, &du, &b).unwrap();
-        for k in 0..n {
-            prop_assert!((x_cr[k] - x_th[k]).abs() < 1e-9);
-        }
-    }
 }

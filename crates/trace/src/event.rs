@@ -264,20 +264,6 @@ pub enum EventKind {
         /// Level after the shift.
         to: u8,
     },
-    /// The telemetry autotuner (re)committed a per-class solver ×
-    /// preconditioner choice from observed convergence records.
-    AutotuneDecision {
-        /// Workload class the decision covers (`"ion-like"`, ...).
-        class: &'static str,
-        /// Recommended rung-1 solver variant name.
-        solver: &'static str,
-        /// Recommended ladder preconditioner name.
-        precond: &'static str,
-        /// Terminal outcomes of this class observed so far.
-        observations: u64,
-        /// How many times the class's choice has changed (0 = first).
-        revision: u64,
-    },
     /// The owning request's complete latency attribution, emitted
     /// alongside its terminal outcome. The wall phases partition
     /// `[submitted, terminal]`; the `sim_*` fields split the solve phase
@@ -327,7 +313,6 @@ impl EventKind {
             EventKind::HedgeWon { .. } => "hedge_won",
             EventKind::Shed { .. } => "shed",
             EventKind::DegradeShift { .. } => "degrade_shift",
-            EventKind::AutotuneDecision { .. } => "autotune_decision",
             EventKind::Ledger(..) => "ledger",
             EventKind::BreakerTrip => "breaker_trip",
             EventKind::WatchdogStall { .. } => "watchdog_stall",
@@ -606,21 +591,6 @@ impl TraceEvent {
             EventKind::DegradeShift { from, to } => {
                 f.push_str(&format!(",\"from\":{from},\"to\":{to}"));
             }
-            EventKind::AutotuneDecision {
-                class,
-                solver,
-                precond,
-                observations,
-                revision,
-            } => {
-                f.push_str(&format!(
-                    ",\"class\":\"{}\",\"solver\":\"{}\",\"precond\":\"{}\",\
-                     \"observations\":{observations},\"revision\":{revision}",
-                    json_escape(class),
-                    json_escape(solver),
-                    json_escape(precond)
-                ));
-            }
             EventKind::Ledger(ledger) => f.push_str(&ledger.json_fields()),
             EventKind::WatchdogStall { budget_us } => {
                 f.push_str(&format!(",\"budget_us\":{budget_us}"));
@@ -763,13 +733,6 @@ mod tests {
                 level: 2,
             },
             EventKind::DegradeShift { from: 0, to: 1 },
-            EventKind::AutotuneDecision {
-                class: "electron-like",
-                solver: "bicgstab",
-                precond: "ilu0",
-                observations: 64,
-                revision: 1,
-            },
             EventKind::Ledger(crate::ledger::PhaseLedger {
                 outcome: "converged_bicgstab",
                 class: crate::ledger::WorkloadClass::IonLike,

@@ -449,25 +449,6 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                     &format!("\"from\":{from},\"to\":{to}"),
                 ));
             }
-            EventKind::AutotuneDecision {
-                class,
-                solver,
-                precond,
-                observations,
-                revision,
-            } => {
-                out.push(instant(
-                    &format!("autotune: {class} -> {solver}+{precond}"),
-                    PID_REQUESTS,
-                    TID_SERVICE,
-                    ts,
-                    &format!(
-                        "\"class\":\"{class}\",\"solver\":\"{solver}\",\
-                         \"precond\":\"{precond}\",\"observations\":{observations},\
-                         \"revision\":{revision}"
-                    ),
-                ));
-            }
             // Per-iteration residuals, queue plumbing, and the terminal
             // ledger summary stay in the JSONL log; as Chrome spans they
             // would only be noise.

@@ -437,24 +437,6 @@ pub struct LedgerClassReport {
     pub deadline_hits: u64,
 }
 
-/// One per-class solver × preconditioner recommendation from the
-/// runtime's telemetry autotuner, mirrored into the `--profile-out`
-/// report so the ledger, trace events, and Prometheus series can be
-/// cross-checked against each other.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AutotuneChoice {
-    /// Workload class the choice covers.
-    pub class: WorkloadClass,
-    /// Recommended rung-1 solver variant name.
-    pub solver: &'static str,
-    /// Recommended ladder preconditioner name.
-    pub precond: &'static str,
-    /// Terminal outcomes of this class observed when the choice was made.
-    pub observations: u64,
-    /// How many times the class's choice has changed (0 = first).
-    pub revision: u64,
-}
-
 /// Aggregated view over a set of phase ledgers: what `--profile-out`
 /// writes and the ext-trace gate checks.
 #[derive(Clone, Debug, Default)]
@@ -474,9 +456,6 @@ pub struct LedgerReport {
     pub sim_totals_us: [f64; 4],
     /// Per-class aggregates, [`WorkloadClass::ALL`] order.
     pub classes: [LedgerClassReport; CLASS_COUNT],
-    /// Current autotuner per-class choices, when the runtime ran one
-    /// (empty otherwise; filled via [`LedgerReport::with_autotune`]).
-    pub autotune: Vec<AutotuneChoice>,
 }
 
 impl LedgerReport {
@@ -518,12 +497,6 @@ impl LedgerReport {
         rep
     }
 
-    /// Attach the runtime autotuner's current per-class choices.
-    pub fn with_autotune(mut self, autotune: Vec<AutotuneChoice>) -> LedgerReport {
-        self.autotune = autotune;
-        self
-    }
-
     /// The report as a JSON document (the `--profile-out` format).
     pub fn to_json(&self) -> String {
         let mut f = String::with_capacity(1024);
@@ -562,23 +535,6 @@ impl LedgerReport {
                 "\"{name}\":{{\"total_us\":{}}}",
                 json_f64(self.sim_totals_us[i])
             ));
-        }
-        if !self.autotune.is_empty() {
-            f.push_str("},\"autotune\":{");
-            for (i, a) in self.autotune.iter().enumerate() {
-                if i > 0 {
-                    f.push(',');
-                }
-                f.push_str(&format!(
-                    "\"{}\":{{\"solver\":\"{}\",\"precond\":\"{}\",\
-                     \"observations\":{},\"revision\":{}}}",
-                    a.class.name(),
-                    a.solver,
-                    a.precond,
-                    a.observations,
-                    a.revision
-                ));
-            }
         }
         f.push_str("},\"classes\":{");
         for (i, class) in WorkloadClass::ALL.iter().enumerate() {

@@ -60,8 +60,8 @@ pub use export::jsonl::{to_jsonl, write_jsonl, JsonlFileSink};
 pub use export::prom::{check_prom_conformance, parse_prom_labeled, parse_prom_value, PromText};
 pub use flight::{FlightDump, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use ledger::{
-    classify, classify_with_rate, AutotuneChoice, LedgerAggregator, LedgerReport, PhaseLedger,
-    WorkloadClass, CLASS_COUNT, ELECTRON_ITER_MAX, ION_ITER_MAX, SIM_PHASES, WALL_PHASES,
+    classify, classify_with_rate, LedgerAggregator, LedgerReport, PhaseLedger, WorkloadClass,
+    CLASS_COUNT, ELECTRON_ITER_MAX, ION_ITER_MAX, SIM_PHASES, WALL_PHASES,
 };
 pub use metrics::{MetricsRegistry, SloWindow, DEFAULT_SLO_TARGET, SLO_WINDOWS};
 pub use sink::{FanoutSink, MemorySink, NoopSink, TraceSink};

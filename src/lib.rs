@@ -6,7 +6,7 @@
 //! batched matrix formats, the fused single-kernel BiCGSTAB with
 //! per-system convergence, the automatic shared-memory workspace
 //! configuration, the direct-solver baselines (`dgbsv`-style banded LU,
-//! Givens sparse QR, cyclic reduction), the XGC collision-kernel proxy
+//! Givens sparse QR), the XGC collision-kernel proxy
 //! app, and a GPU execution-model simulator that regenerates the paper's
 //! performance figures without GPU hardware.
 //!
@@ -40,7 +40,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`types`] | `batsolv-types` | scalars, complex numbers, errors, op counts |
-//! | [`formats`] | `batsolv-formats` | `BatchCsr`, `BatchEll`, `BatchDense`, banded, tridiagonal |
+//! | [`formats`] | `batsolv-formats` | `BatchCsr`, `BatchEll`, `BatchDense`, banded |
 //! | [`blas`] | `batsolv-blas` | batched dense kernels + small LU |
 //! | [`gpusim`] | `batsolv-gpusim` | device models, scheduler, cache model, simulated timing |
 //! | [`solvers`] | `batsolv-solvers` | BiCGSTAB/CG/GMRES/Richardson, preconditioners, direct baselines |
@@ -62,17 +62,15 @@ pub use batsolv_xgc as xgc;
 /// The items most programs need.
 pub mod prelude {
     pub use batsolv_formats::{
-        BatchBanded, BatchCsr, BatchDense, BatchDia, BatchEll, BatchMatrix, BatchTridiag,
-        BatchVectors, SparsityPattern,
+        BatchBanded, BatchCsr, BatchDense, BatchDia, BatchEll, BatchMatrix, BatchVectors,
+        SparsityPattern,
     };
     pub use batsolv_gpusim::{DeviceSpec, MultiGpu, Scheduling, SimKernel};
     pub use batsolv_runtime::{
         RejectReason, RungAttempt, RuntimeConfig, SolveError, SolveMethod, SolveRequest,
         SolveService, SubmitError,
     };
-    pub use batsolv_solvers::direct::{
-        BatchBandedLu, BatchCyclicReduction, BatchDenseLu, BatchSparseQr,
-    };
+    pub use batsolv_solvers::direct::{BatchBandedLu, BatchDenseLu, BatchSparseQr};
     pub use batsolv_solvers::{
         AbsResidual, BatchBicgstab, BatchCg, BatchCgs, BatchGmres, BatchRichardson,
         BatchSolveReport, BlockJacobi, Identity, Ilu0, Jacobi, MixedPrecisionBicgstab,
