@@ -40,7 +40,7 @@ pub fn fleet_prometheus_text(f: &FleetSnapshot) -> String {
     );
     m.counter(
         "batsolv_fleet_requests_rejected_total",
-        "Systems rejected at submit (shape, backpressure, breaker).",
+        "Systems rejected at submit (shape, tolerance, deadline, backpressure, breaker).",
         &[],
         f.rejected as f64,
     );

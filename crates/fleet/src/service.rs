@@ -218,6 +218,39 @@ impl FleetService {
         &self.range
     }
 
+    /// The first member that cannot join the fleet's batches: an empty
+    /// group, an unreachable tolerance, or a vector of the wrong length.
+    fn check_members(&self, requests: &[SolveRequest]) -> std::result::Result<(), SubmitError> {
+        let mismatch = |field, expected, got| SubmitError::ShapeMismatch {
+            field,
+            expected,
+            got,
+        };
+        if requests.is_empty() {
+            return Err(mismatch("group", 1, 0));
+        }
+        for r in requests {
+            r.check_tolerance()?;
+            if r.values.len() != self.nnz {
+                return Err(mismatch("values", self.nnz, r.values.len()));
+            }
+            if r.rhs.len() != self.n {
+                return Err(mismatch("rhs", self.n, r.rhs.len()));
+            }
+            if let Some(g) = r.guess.as_ref().filter(|g| g.len() != self.n) {
+                return Err(mismatch("guess", self.n, g.len()));
+            }
+        }
+        Ok(())
+    }
+
+    /// Count every system of a refused group in `rejected` and hand the
+    /// refusal back.
+    fn refuse(&self, group: usize, e: SubmitError) -> SubmitError {
+        self.rejected.fetch_add(group as u64, Ordering::Relaxed);
+        e
+    }
+
     /// Submit a group of systems over the fleet's shared pattern.
     ///
     /// `hint` is an optional placement affinity (e.g. a mesh-partition
@@ -239,46 +272,8 @@ impl FleetService {
         // queue push is the admission phase (validation, degradation
         // bookkeeping, feasibility, placement planning).
         let submit_started = Instant::now();
-        if requests.is_empty() {
-            return Err(SubmitError::ShapeMismatch {
-                field: "group",
-                expected: 1,
-                got: 0,
-            });
-        }
-        for r in &requests {
-            if let Err(e) = r.check_tolerance() {
-                self.rejected
-                    .fetch_add(requests.len() as u64, Ordering::Relaxed);
-                return Err(e);
-            }
-            if r.values.len() != self.nnz {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::ShapeMismatch {
-                    field: "values",
-                    expected: self.nnz,
-                    got: r.values.len(),
-                });
-            }
-            if r.rhs.len() != self.n {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::ShapeMismatch {
-                    field: "rhs",
-                    expected: self.n,
-                    got: r.rhs.len(),
-                });
-            }
-            if let Some(g) = &r.guess {
-                if g.len() != self.n {
-                    self.rejected.fetch_add(1, Ordering::Relaxed);
-                    return Err(SubmitError::ShapeMismatch {
-                        field: "guess",
-                        expected: self.n,
-                        got: g.len(),
-                    });
-                }
-            }
-        }
+        self.check_members(&requests)
+            .map_err(|e| self.refuse(requests.len(), e))?;
 
         let _placement = self.submit_lock.lock().unwrap();
         if self.shutting_down.load(Ordering::Relaxed) {
@@ -300,12 +295,11 @@ impl FleetService {
         for r in &requests {
             if let Some(deadline) = r.deadline {
                 if self.predicted_chunk_cost > deadline {
-                    self.rejected
-                        .fetch_add(requests.len() as u64, Ordering::Relaxed);
-                    return Err(SubmitError::Infeasible {
+                    let e = SubmitError::Infeasible {
                         predicted: self.predicted_chunk_cost,
                         budget: deadline,
-                    });
+                    };
+                    return Err(self.refuse(requests.len(), e));
                 }
             }
         }
@@ -328,11 +322,10 @@ impl FleetService {
             match p.route {
                 Route::CpuPool => {
                     if self.cpu.queue.len() + planned[devices] >= self.queue_capacity {
-                        self.rejected
-                            .fetch_add(requests.len() as u64, Ordering::Relaxed);
-                        return Err(SubmitError::QueueFull {
+                        let e = SubmitError::QueueFull {
                             capacity: self.queue_capacity,
-                        });
+                        };
+                        return Err(self.refuse(requests.len(), e));
                     }
                     planned[devices] += 1;
                     targets.push(Route::CpuPool);
@@ -363,14 +356,13 @@ impl FleetService {
                             targets.push(Route::Shard(c));
                         }
                         None => {
-                            self.rejected
-                                .fetch_add(requests.len() as u64, Ordering::Relaxed);
-                            return Err(match open_retry {
+                            let e = match open_retry {
                                 Some(retry_after) => SubmitError::CircuitOpen { retry_after },
                                 None => SubmitError::QueueFull {
                                     capacity: self.queue_capacity,
                                 },
-                            });
+                            };
+                            return Err(self.refuse(requests.len(), e));
                         }
                     }
                 }

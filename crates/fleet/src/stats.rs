@@ -64,7 +64,8 @@ pub struct FleetSnapshot {
     pub cpu_pool: ShardSnapshot,
     /// Systems accepted by the scheduler.
     pub accepted: u64,
-    /// Systems rejected at submit (shape, backpressure, breaker).
+    /// Systems rejected at submit: every member of a refused group
+    /// (shape, tolerance, deadline, backpressure, breaker).
     pub rejected: u64,
     /// Chunks dispatched to GPU shards.
     pub gpu_chunks: u64,

@@ -95,7 +95,7 @@ fn submit_is_atomic_on_rejection() {
     }
     let snap = service.shutdown();
     assert_eq!(snap.accepted, 0, "rejected groups queued nothing");
-    assert_eq!(snap.rejected, 1);
+    assert_eq!(snap.rejected, 4, "every member of the refused group counts");
 }
 
 #[test]

@@ -8,6 +8,10 @@
 //! consecutive addresses so that consecutive GPU threads — one thread per
 //! row — issue coalesced loads: the layout of the paper's Figure 5(b).
 //! The row-major order is kept as the measured baseline.
+//!
+//! A column-major batch also carries its [`StencilRuns`]: within each slot
+//! the rows whose column minus row is constant form unit-stride runs, which
+//! the SpMV walks like DIA diagonals, gathering `x` only for the rest.
 
 use std::sync::Arc;
 
@@ -38,6 +42,92 @@ pub struct BatchEll<T> {
     /// Values, system-major outer; within a system a `width * num_rows`
     /// slab in `layout` order (including padding zeros).
     values: Vec<T>,
+    /// The column-major SpMV's walk of `col_idxs`; empty for row-major.
+    runs: StencilRuns,
+}
+
+/// Shortest stretch of a slot walked as a unit-stride run; shorter ones are
+/// gathered. A shorter run would not fill one 4-lane vector of `f64`.
+pub(crate) const MIN_RUN: usize = 4;
+
+/// The walk of a column-major index array, slot by slot: the maximal
+/// stretches of rows whose column minus row is constant (unit-stride runs)
+/// and the stored rows left over (gathered). Every stored `(row, slot)`
+/// lies in exactly one of them; padding slots lie in neither.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct StencilRuns {
+    /// Slots covered (the ELL width; 0 when empty).
+    width: usize,
+    /// One allocation: `2 * width + 1` bounds `b`, then per slot `k` its
+    /// runs as `(first row, first column, length)` triples in
+    /// `table[b[2k]..b[2k + 1]]`, followed by its gathered rows in
+    /// `table[b[2k + 1]..b[2k + 2]]`.
+    table: Vec<u32>,
+}
+
+impl StencilRuns {
+    /// The runs and gathered rows of a column-major `width × n` index
+    /// array.
+    fn new(width: usize, n: usize, col_idxs: &[u32]) -> Self {
+        let slots = || col_idxs.chunks_exact(n);
+        // Sized up front: growing the table by reallocation left holes in
+        // the heap that raised the Picard benchmark's peak RSS by ~2 MB.
+        let entries: usize = slots()
+            .flat_map(stretches)
+            .map(|(_, len)| if len >= MIN_RUN { 3 } else { len })
+            .sum();
+        let mut table = Vec::with_capacity(2 * width + 1 + entries);
+        table.resize(2 * width + 1, 0);
+        let mark = |table: &Vec<u32>| u32::try_from(table.len()).expect("table fits u32 offsets");
+        for (k, cols) in slots().enumerate() {
+            table[2 * k] = mark(&table);
+            for (r, len) in stretches(cols).filter(|&(_, len)| len >= MIN_RUN) {
+                table.extend([r as u32, cols[r], len as u32]);
+            }
+            table[2 * k + 1] = mark(&table);
+            for (r, len) in stretches(cols).filter(|&(_, len)| len < MIN_RUN) {
+                table.extend(r as u32..(r + len) as u32);
+            }
+        }
+        table[2 * width] = mark(&table);
+        debug_assert_eq!(table.len(), 2 * width + 1 + entries);
+        StencilRuns { width, table }
+    }
+
+    /// Slot `k`'s unit-stride runs as `(first row, first column, length)`.
+    #[inline]
+    pub(crate) fn runs(&self, k: usize) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        let (lo, hi) = (self.table[2 * k] as usize, self.table[2 * k + 1] as usize);
+        self.table[lo..hi]
+            .chunks_exact(3)
+            .map(|run| (run[0] as usize, run[1] as usize, run[2] as usize))
+    }
+
+    /// Slot `k`'s gathered rows, ascending.
+    #[inline]
+    pub(crate) fn gathered(&self, k: usize) -> &[u32] {
+        &self.table[self.table[2 * k + 1] as usize..self.table[2 * k + 2] as usize]
+    }
+}
+
+/// The maximal stretches `(first row, length)` of one column-major slot's
+/// stored rows over which the column rises with the row; padding rows
+/// belong to none.
+fn stretches(cols: &[u32]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let mut r = 0;
+    std::iter::from_fn(move || {
+        while cols.get(r) == Some(&ELL_PAD) {
+            r += 1;
+        }
+        let first = r;
+        cols.get(first)?;
+        r += 1;
+        // A stored column is below `ELL_PAD`, so `+ 1` cannot overflow.
+        while r < cols.len() && cols[r] != ELL_PAD && cols[r] == cols[r - 1] + 1 {
+            r += 1;
+        }
+        Some((first, r - first))
+    })
 }
 
 impl<T: Scalar> BatchEll<T> {
@@ -65,6 +155,10 @@ impl<T: Scalar> BatchEll<T> {
                 col_idxs[layout.index(n, width, r, k)] = c;
             }
         }
+        let runs = match layout {
+            ValueLayout::ColMajor => StencilRuns::new(width, n, &col_idxs),
+            ValueLayout::RowMajor => StencilRuns::default(),
+        };
         let values = vec![T::ZERO; num_systems * width * n];
         Ok(BatchEll {
             dims,
@@ -73,6 +167,7 @@ impl<T: Scalar> BatchEll<T> {
             layout,
             col_idxs,
             values,
+            runs,
         })
     }
 
@@ -170,6 +265,13 @@ impl<T: Scalar> BatchEll<T> {
         &self.col_idxs
     }
 
+    /// The column-major SpMV's runs and gathered rows (empty for
+    /// row-major).
+    #[cfg(test)]
+    pub(crate) fn stencil_runs(&self) -> &StencilRuns {
+        &self.runs
+    }
+
     /// Value slab of system `i` (`width * num_rows`, in
     /// [`Self::layout`] order).
     #[inline]
@@ -236,18 +338,26 @@ impl<T: Scalar> BatchEll<T> {
 fma_kernel! {
     /// Column-major `y = A·x` for one system, in the thread-per-row
     /// mapping: the outer k loop walks the stencil entries; for each k,
-    /// "threads" (rows) stream consecutive slots — a unit-stride zip the
-    /// compiler can vectorize.
-    fn spmv_col_major<T: Scalar>(width: usize, col_idxs: &[u32], slab: &[T], x: &[T], y: &mut [T]) {
+    /// "threads" (rows) stream consecutive slots. Each of the slot's
+    /// unit-stride runs is a three-slice zip the compiler vectorizes;
+    /// only the leftover rows gather `x`, and padding rows are skipped.
+    /// Every row adds its entries in ascending k, as in the row-major
+    /// kernel, so the two agree bit for bit.
+    fn spmv_col_major<T: Scalar>(runs: &StencilRuns, col_idxs: &[u32], slab: &[T], x: &[T], y: &mut [T]) {
         let n = y.len();
         y.iter_mut().for_each(|v| *v = T::ZERO);
-        for k in 0..width {
+        for k in 0..runs.width {
             let cols = &col_idxs[k * n..(k + 1) * n];
             let vals = &slab[k * n..(k + 1) * n];
-            for ((yr, &c), &v) in y.iter_mut().zip(cols).zip(vals) {
-                if c != ELL_PAD {
-                    *yr = v.mul_add(x[c as usize], *yr);
+            for (r, c, len) in runs.runs(k) {
+                let ys = y[r..r + len].iter_mut();
+                for ((yr, &v), &xc) in ys.zip(&vals[r..r + len]).zip(&x[c..c + len]) {
+                    *yr = v.mul_add(xc, *yr);
                 }
+            }
+            for &r in runs.gathered(k) {
+                let r = r as usize;
+                y[r] = vals[r].mul_add(x[cols[r] as usize], y[r]);
             }
         }
     }
@@ -293,7 +403,7 @@ impl<T: Scalar> BatchMatrix<T> for BatchEll<T> {
         debug_assert_eq!(y.len(), self.dims.num_rows);
         let slab = self.values_of(i);
         match self.layout {
-            ValueLayout::ColMajor => spmv_col_major(self.width, &self.col_idxs, slab, x, y),
+            ValueLayout::ColMajor => spmv_col_major(&self.runs, &self.col_idxs, slab, x, y),
             ValueLayout::RowMajor => spmv_row_major(self.width, &self.col_idxs, slab, x, y),
         }
     }
@@ -309,16 +419,37 @@ impl<T: Scalar> BatchMatrix<T> for BatchEll<T> {
     fn extract_diagonal(&self, i: usize, diag: &mut [T]) {
         let n = self.dims.num_rows;
         let slab = self.values_of(i);
-        for r in 0..n {
-            let mut d = T::ZERO;
-            for k in 0..self.width {
-                let idx = self.layout.index(n, self.width, r, k);
-                if self.col_idxs[idx] == r as u32 {
-                    d = slab[idx];
-                    break;
+        match self.layout {
+            ValueLayout::ColMajor => {
+                // A row stores its diagonal in at most one slot: copy the
+                // runs on the main diagonal whole, then check the gathered
+                // rows.
+                diag.iter_mut().for_each(|d| *d = T::ZERO);
+                for k in 0..self.width {
+                    let vals = &slab[k * n..(k + 1) * n];
+                    for (r, _, len) in self.runs.runs(k).filter(|&(r, c, _)| r == c) {
+                        diag[r..r + len].copy_from_slice(&vals[r..r + len]);
+                    }
+                    for &r in self.runs.gathered(k) {
+                        if self.col_idxs[k * n + r as usize] == r {
+                            diag[r as usize] = vals[r as usize];
+                        }
+                    }
                 }
             }
-            diag[r] = d;
+            ValueLayout::RowMajor => {
+                for r in 0..n {
+                    let mut d = T::ZERO;
+                    for k in 0..self.width {
+                        let idx = self.layout.index(n, self.width, r, k);
+                        if self.col_idxs[idx] == r as u32 {
+                            d = slab[idx];
+                            break;
+                        }
+                    }
+                    diag[r] = d;
+                }
+            }
         }
     }
 
@@ -473,14 +604,35 @@ mod tests {
 
     #[test]
     fn diagonal_matches_csr_in_both_layouts() {
-        let csr = stencil_csr(5, 5);
-        let mut d_csr = vec![0.0; 25];
-        csr.extract_diagonal(1, &mut d_csr);
-        for layout in [ValueLayout::ColMajor, ValueLayout::RowMajor] {
-            let ell = BatchEll::from_csr_in(&csr, layout).unwrap();
-            let mut d_ell = vec![0.0; 25];
-            ell.extract_diagonal(1, &mut d_ell);
-            assert_eq!(d_csr, d_ell, "{layout:?}");
+        // Row 5 stores no diagonal entry: it must read 0 in every format.
+        let coords: Vec<(usize, usize)> = (0..12)
+            .flat_map(|r| [(r, r), (r, (r * 5 + 3) % 12), (r, (r + 11) % 12)])
+            .filter(|&(r, c)| r != 5 || c != 5)
+            .collect();
+        let ragged = Arc::new(SparsityPattern::from_coords(12, &coords).unwrap());
+        assert_eq!(ragged.diag_position(5), None);
+        let mut ragged_csr = BatchCsr::zeros(2, ragged).unwrap();
+        for i in 0..2 {
+            ragged_csr.fill_system(i, |r, c| (i * 100 + r * 12 + c) as f64 + 0.5);
+        }
+        for csr in [
+            stencil_csr(5, 5),
+            stencil_csr(32, 31),
+            stencil_csr(8, 9),
+            stencil_csr(3, 3),
+            ragged_csr,
+        ] {
+            let n = csr.dims().num_rows;
+            let mut d_csr = vec![0.0; n];
+            csr.extract_diagonal(1, &mut d_csr);
+            for layout in [ValueLayout::ColMajor, ValueLayout::RowMajor] {
+                let ell = BatchEll::from_csr_in(&csr, layout).unwrap();
+                // Stale contents must not survive into rows without a
+                // diagonal.
+                let mut d_ell = vec![f64::NAN; n];
+                ell.extract_diagonal(1, &mut d_ell);
+                assert_eq!(d_csr, d_ell, "{n} rows {layout:?}");
+            }
         }
     }
 

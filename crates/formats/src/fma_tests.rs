@@ -12,7 +12,7 @@ use crate::{
 
 /// Seeded values over many magnitudes, with ±0, subnormals, ±Inf and
 /// NaN mixed in one time in `every`.
-fn awkward(rng: &mut StdRng, n: usize, every: u64) -> Vec<f64> {
+pub(crate) fn awkward(rng: &mut StdRng, n: usize, every: u64) -> Vec<f64> {
     const SPECIAL: [f64; 8] = [
         0.0,
         -0.0,
@@ -84,15 +84,14 @@ fn spmv_copies_are_bitwise_identical() {
                     |y| dense::spmv::portable(a, &x, y),
                 );
                 let [col, row] = &ell;
-                let w = col.width();
-                let (cc, cv) = (col.col_idxs(), col.values_of(i));
+                let (runs, cc, cv) = (col.stencil_runs(), col.col_idxs(), col.values_of(i));
                 pin(
                     &what("ell col-major"),
                     n,
-                    |y| ell::spmv_col_major::hardware(w, cc, cv, &x, y),
-                    |y| ell::spmv_col_major::portable(w, cc, cv, &x, y),
+                    |y| ell::spmv_col_major::hardware(runs, cc, cv, &x, y),
+                    |y| ell::spmv_col_major::portable(runs, cc, cv, &x, y),
                 );
-                let (rc, rv) = (row.col_idxs(), row.values_of(i));
+                let (w, rc, rv) = (row.width(), row.col_idxs(), row.values_of(i));
                 pin(
                     &what("ell row-major"),
                     n,

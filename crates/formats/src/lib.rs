@@ -33,6 +33,8 @@ pub mod traits;
 pub mod vectors;
 
 #[cfg(test)]
+mod ell_run_tests;
+#[cfg(test)]
 mod fma_tests;
 
 pub use banded::BatchBanded;
