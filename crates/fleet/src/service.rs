@@ -11,15 +11,15 @@
 //! orphaned members never resolve).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use batsolv_formats::SparsityPattern;
 use batsolv_gpusim::{LaunchHook, NoDisruption};
 use batsolv_runtime::{
-    CircuitBreaker, ClassTracker, ClassesSnapshot, DeadlineBudget, LadderEngine, SolveEngine,
-    SolveRequest, SubmitError,
+    BoundedQueue, CircuitBreaker, ClassTracker, ClassesSnapshot, LadderEngine, Pending, Phase,
+    PushResult, SolveEngine, SolveRequest, SubmitError,
 };
 use batsolv_trace::{EventKind, Tracer};
 use batsolv_types::Result;
@@ -28,10 +28,10 @@ use crate::config::{FleetConfig, HedgeConfig};
 use crate::degrade::DegradeState;
 use crate::metrics::fleet_prometheus_text;
 use crate::range::{victim_order, DeviceRange, Route};
-use crate::shard::{spawn_shard_worker, ChunkQueue, ShardShared, ShardStats, WorkerCtx};
+use crate::shard::{spawn_shard_worker, ShardShared, ShardStats, WorkerCtx};
 use crate::spill::CpuLuEngine;
-use crate::stats::{percentile_us, snapshot_shard, FleetSnapshot};
-use crate::work::{Chunk, GroupProgress, GroupTicket, OutcomeSlot, Pending};
+use crate::stats::{percentile, snapshot_shard, FleetSnapshot};
+use crate::work::{Chunk, GroupProgress, GroupTicket};
 
 /// Iteration count assumed by admission-time cost prediction: the
 /// paper's Table III electron-species solves land near 40 iterations,
@@ -111,7 +111,7 @@ impl FleetService {
                     Arc::new(ShardShared {
                         id,
                         device_name: cfg.profile.spec().name,
-                        queue: ChunkQueue::new(cfg.queue_capacity),
+                        queue: BoundedQueue::new(cfg.queue_capacity),
                         stats: ShardStats::new(),
                         breaker: CircuitBreaker::new(cfg.breaker),
                         inflight: Mutex::new(None),
@@ -122,7 +122,7 @@ impl FleetService {
         let cpu = Arc::new(ShardShared {
             id: range.cpu_shard(),
             device_name: batsolv_gpusim::DeviceSpec::skylake_node().name,
-            queue: ChunkQueue::new(cfg.queue_capacity),
+            queue: BoundedQueue::new(cfg.queue_capacity),
             stats: ShardStats::new(),
             breaker: CircuitBreaker::new(cfg.breaker),
             inflight: Mutex::new(None),
@@ -156,7 +156,7 @@ impl FleetService {
                 degrade: Arc::clone(&degrade),
                 predicted_chunk_cost,
                 classes: Arc::clone(&classes),
-                is_spill: false,
+                exec_phase: Phase::Solve,
             }));
         }
         // The CPU pool is one more worker over the same machinery: a
@@ -181,7 +181,7 @@ impl FleetService {
             degrade: Arc::clone(&degrade),
             predicted_chunk_cost,
             classes: Arc::clone(&classes),
-            is_spill: true,
+            exec_phase: Phase::Spill,
         }));
 
         Ok(FleetService {
@@ -375,34 +375,15 @@ impl FleetService {
         let total = requests.len();
         let base = self.next_id.fetch_add(total as u64, Ordering::Relaxed);
         let enqueued = Instant::now();
-        let admission_us = enqueued.duration_since(submit_started).as_secs_f64() * 1e6;
         let group = Arc::new(GroupProgress::new(total));
         let mut ids = Vec::with_capacity(total);
         let mut rxs = Vec::with_capacity(total);
         let mut pendings = Vec::with_capacity(total);
         for (k, r) in requests.into_iter().enumerate() {
-            let (tx, rx) = mpsc::channel();
-            let id = base + k as u64;
-            ids.push(id);
+            let (p, rx) = Pending::accept(base + k as u64, r, submit_started, enqueued);
+            ids.push(p.item.id);
             rxs.push(rx);
-            pendings.push(Pending {
-                id,
-                values: r.values,
-                rhs: r.rhs,
-                guess: r.guess,
-                tolerance: r.tolerance,
-                enqueued,
-                budget: r.deadline.map(DeadlineBudget::new),
-                attempt: 1,
-                slot: Arc::new(OutcomeSlot::new(tx)),
-                submitted: submit_started,
-                admission_us,
-                queue_us: 0.0,
-                transit_us: 0.0,
-                backoff_us: 0.0,
-                solve_us: 0.0,
-                group: Arc::clone(&group),
-            });
+            pendings.push(p);
         }
 
         let mut rest = pendings;
@@ -411,14 +392,20 @@ impl FleetService {
             let items = rest;
             rest = tail;
             let size = items.len();
+            let chunk = |origin| Chunk {
+                items,
+                origin,
+                attempt: 1,
+                group: Arc::clone(&group),
+            };
             match target {
                 Route::Shard(s) => {
                     let shard = &self.shards[s as usize];
-                    shard
-                        .queue
-                        .try_push(Chunk { items, origin: s })
-                        .ok()
-                        .expect("planned GPU chunk placement cannot fail");
+                    let pushed = shard.queue.try_push(chunk(s));
+                    assert!(
+                        matches!(pushed, PushResult::Ok),
+                        "planned GPU chunk placement cannot fail"
+                    );
                     self.gpu_chunks.fetch_add(1, Ordering::Relaxed);
                     self.tracer.emit(
                         None,
@@ -431,14 +418,11 @@ impl FleetService {
                     );
                 }
                 Route::CpuPool => {
-                    self.cpu
-                        .queue
-                        .try_push(Chunk {
-                            items,
-                            origin: self.cpu.id,
-                        })
-                        .ok()
-                        .expect("planned CPU chunk placement cannot fail");
+                    let pushed = self.cpu.queue.try_push(chunk(self.cpu.id));
+                    assert!(
+                        matches!(pushed, PushResult::Ok),
+                        "planned CPU chunk placement cannot fail"
+                    );
                     self.spilled.fetch_add(size as u64, Ordering::Relaxed);
                     self.tracer.emit(
                         None,
@@ -477,10 +461,10 @@ impl FleetService {
         let sim_time_total_s =
             shards.iter().map(|s| s.sim_time_s).sum::<f64>() + cpu_pool.sim_time_s;
         FleetSnapshot {
-            wait_p50: percentile_us(&wait_us, 0.50),
-            wait_p99: percentile_us(&wait_us, 0.99),
-            latency_p50: percentile_us(&latency_us, 0.50),
-            latency_p99: percentile_us(&latency_us, 0.99),
+            wait_p50: percentile(&wait_us, 0.50),
+            wait_p99: percentile(&wait_us, 0.99),
+            latency_p50: percentile(&latency_us, 0.50),
+            latency_p99: percentile(&latency_us, 0.99),
             shards,
             cpu_pool,
             accepted: self.accepted.load(Ordering::Relaxed),

@@ -12,9 +12,10 @@
 //! Robustness layers on top of that base loop:
 //!
 //! * **Deadline budgets** — each pending system may carry a
-//!   [`DeadlineBudget`]; the worker debits queue wait at dispatch and
-//!   sheds systems whose budget is spent (or, at degradation level 2+,
-//!   whose remaining budget cannot cover the predicted chunk cost).
+//!   [`DeadlineBudget`](batsolv_runtime::DeadlineBudget); the worker
+//!   debits queue wait at dispatch and sheds systems whose budget is
+//!   spent (or, at degradation level 2+, whose remaining budget cannot
+//!   cover the predicted chunk cost).
 //! * **Retry with backoff** — a retryable chunk failure (device fault,
 //!   worker panic) re-queues the chunk on a *different* shard after a
 //!   deterministic, seeded backoff, until `RetryPolicy::max_attempts`
@@ -22,118 +23,30 @@
 //! * **Hedged dispatch** — an idle worker that finds nothing to steal
 //!   duplicates a peer's in-flight chunk once its age exceeds the
 //!   peer's p99-derived hedge delay. Primary and hedge share
-//!   [`OutcomeSlot`]s, so the first terminal outcome wins and the
-//!   loser's delivery is a no-op: outcomes stay exactly-once.
+//!   [`OutcomeSlot`](batsolv_runtime::OutcomeSlot)s, so the first
+//!   terminal outcome wins and the loser's delivery is a no-op: outcomes
+//!   stay exactly-once.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use batsolv_runtime::{
-    BatchItem, CircuitBreaker, ClassTracker, DeadlineBudget, RequestId, Reservoir, SimSplit,
-    Solution, SolveEngine, SolveError, SolveMethod, SolveOutcome,
+    feed_breaker, panic_detail, settle, BatchItem, BoundedQueue, CircuitBreaker, ClassTracker,
+    Lifecycle, Pending, Phase, PopResult, PushResult, Reservoir, Settled, SolveEngine, SolveError,
 };
-use batsolv_trace::{classify, EventKind, PhaseLedger, Tracer};
+use batsolv_trace::{EventKind, Tracer};
 use batsolv_types::Error;
 
 use crate::config::{HedgeConfig, RetryPolicy};
 use crate::degrade::DegradeState;
-use crate::stats::percentile_us;
-use crate::work::{Chunk, GroupProgress, Pending};
+use crate::stats::percentile;
+use crate::work::{Chunk, GroupProgress};
 
 /// How long a worker waits on its empty queue before probing victims.
 const POLL_INTERVAL: Duration = Duration::from_millis(2);
-
-/// Result of a blocking pop.
-pub(crate) enum Popped {
-    Chunk(Chunk),
-    TimedOut,
-    /// Closed *and* drained — time to exit.
-    Closed,
-}
-
-struct QueueState {
-    chunks: VecDeque<Chunk>,
-    closed: bool,
-}
-
-/// Bounded MPMC chunk queue. Push rejects when full (explicit
-/// backpressure, like the service queue); `steal` pops the oldest
-/// entry from any thread.
-pub(crate) struct ChunkQueue {
-    state: Mutex<QueueState>,
-    cv: Condvar,
-    capacity: usize,
-}
-
-impl ChunkQueue {
-    pub fn new(capacity: usize) -> ChunkQueue {
-        ChunkQueue {
-            state: Mutex::new(QueueState {
-                chunks: VecDeque::new(),
-                closed: false,
-            }),
-            cv: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// Push a chunk; hands it back when the queue is full or closed.
-    pub fn try_push(&self, chunk: Chunk) -> Result<(), Chunk> {
-        let mut s = self.state.lock().unwrap();
-        if s.closed || s.chunks.len() >= self.capacity {
-            return Err(chunk);
-        }
-        s.chunks.push_back(chunk);
-        self.cv.notify_one();
-        Ok(())
-    }
-
-    /// Blocking pop with a timeout. A closed queue drains before
-    /// reporting [`Popped::Closed`], so accepted work always executes.
-    pub fn pop_wait(&self, timeout: Duration) -> Popped {
-        let deadline = Instant::now() + timeout;
-        let mut s = self.state.lock().unwrap();
-        loop {
-            if let Some(chunk) = s.chunks.pop_front() {
-                return Popped::Chunk(chunk);
-            }
-            if s.closed {
-                return Popped::Closed;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Popped::TimedOut;
-            }
-            let (guard, _) = self.cv.wait_timeout(s, deadline - now).unwrap();
-            s = guard;
-        }
-    }
-
-    /// Steal the oldest queued chunk (used by other shards' workers).
-    pub fn steal(&self) -> Option<Chunk> {
-        self.state.lock().unwrap().chunks.pop_front()
-    }
-
-    /// Queued chunks right now.
-    pub fn len(&self) -> usize {
-        self.state.lock().unwrap().chunks.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Close the queue: pushes fail, pops drain then report closed.
-    pub fn close(&self) {
-        self.state.lock().unwrap().closed = true;
-        self.cv.notify_all();
-    }
-}
 
 #[derive(Default)]
 pub(crate) struct SampledShardStats {
@@ -193,12 +106,12 @@ impl ShardStats {
 /// ever duplicates a given flight.
 pub(crate) struct InflightChunk {
     pub started: Instant,
-    pub origin: u32,
-    /// The shard actually executing (differs from `origin` on steals).
+    /// The shard actually executing (differs from the chunk's `origin`
+    /// on steals).
     pub executor: u32,
     pub hedged: AtomicBool,
     /// Payload clones sharing the primaries' outcome slots.
-    pub items: Vec<Pending>,
+    pub chunk: Chunk,
 }
 
 /// Everything a shard shares with the scheduler and with thieving
@@ -206,7 +119,7 @@ pub(crate) struct InflightChunk {
 pub(crate) struct ShardShared {
     pub id: u32,
     pub device_name: &'static str,
-    pub queue: ChunkQueue,
+    pub queue: BoundedQueue<Chunk>,
     pub stats: ShardStats,
     pub breaker: CircuitBreaker,
     /// The chunk this shard's worker has in flight, if hedging is on.
@@ -241,9 +154,9 @@ pub(crate) struct WorkerCtx {
     /// Fleet-wide per-class latency/SLO tracker; every winning delivery
     /// feeds its phase ledger through here.
     pub classes: Arc<ClassTracker>,
-    /// True for the CPU spill pool's worker: its dispatch wall time
-    /// lands in the ledger's `spill` phase instead of `solve`.
-    pub is_spill: bool,
+    /// Where this pool's dispatch wall time lands in the ledger:
+    /// `Solve` on GPU shards, `Spill` on the CPU pool.
+    pub exec_phase: Phase,
 }
 
 /// Spawn one shard's worker loop.
@@ -252,11 +165,11 @@ pub(crate) fn spawn_shard_worker(ctx: WorkerCtx) -> JoinHandle<()> {
         .name(format!("fleet-shard-{}", ctx.shard.id))
         .spawn(move || loop {
             match ctx.shard.queue.pop_wait(POLL_INTERVAL) {
-                Popped::Chunk(chunk) => {
+                PopResult::Item(chunk) => {
                     execute_chunk(&ctx, chunk, ChunkRole::Primary);
                 }
-                Popped::Closed => break,
-                Popped::TimedOut => {
+                PopResult::Closed => break,
+                PopResult::TimedOut => {
                     // Raid greedily while idle: once a steal succeeds,
                     // keep taking chunks (re-checking our own queue
                     // between them) instead of paying the poll interval
@@ -266,7 +179,7 @@ pub(crate) fn spawn_shard_worker(ctx: WorkerCtx) -> JoinHandle<()> {
                         let mut stole = false;
                         for &v in &ctx.victims {
                             let victim = &ctx.peers[v as usize];
-                            if let Some(chunk) = victim.queue.steal() {
+                            if let PopResult::Item(chunk) = victim.queue.pop_wait(Duration::ZERO) {
                                 victim.stats.steals_out.fetch_add(1, Ordering::Relaxed);
                                 ctx.shard.stats.steals_in.fetch_add(1, Ordering::Relaxed);
                                 ctx.tracer.emit(
@@ -298,209 +211,75 @@ pub(crate) fn spawn_shard_worker(ctx: WorkerCtx) -> JoinHandle<()> {
         .expect("spawn fleet shard worker")
 }
 
-/// Metadata retained per item across the solve call (the payload moves
-/// into the [`BatchItem`]s). Carries the request's phase accumulators
-/// with this hop's wait already attributed, so the terminal ledger can
-/// be built from the meta alone.
-#[derive(Clone)]
-struct ItemMeta {
-    id: RequestId,
-    slot: Arc<crate::work::OutcomeSlot>,
-    budget: Option<DeadlineBudget>,
-    enqueued: Instant,
-    wait: Duration,
-    attempt: u32,
-    submitted: Instant,
-    admission_us: f64,
-    queue_us: f64,
-    transit_us: f64,
-    backoff_us: f64,
-    hedge_us: f64,
-    /// Wall time burned in failed prior solve attempts.
-    prior_solve_us: f64,
-    group: Arc<GroupProgress>,
-}
-
-/// Build one fleet request's phase ledger at its terminal moment. Wall
-/// phases partition `[submit_group entry, now]`: admission (validation
-/// and placement planning), queue (first-hop shard queue), transit
-/// (retry re-queue hops), backoff (retry sleeps), hedge (enqueue →
-/// duplicate dispatch, on hedge-delivered requests), solve/spill (this
-/// attempt's dispatch wall time, by executing pool), with prior failed
-/// attempts' dispatch time folded into solve. `close()` pushes the
-/// residual into `other` so the phase-sum invariant holds exactly.
-#[allow(clippy::too_many_arguments)]
-fn build_fleet_ledger(
-    m: &ItemMeta,
-    outcome: &'static str,
-    iterations: u32,
-    converged: bool,
-    exec_us: f64,
-    is_spill: bool,
-    sim: Option<&SimSplit>,
-    straggler: bool,
-    now: Instant,
-) -> PhaseLedger {
-    let mut ledger = PhaseLedger {
-        outcome,
-        class: classify(iterations, converged),
-        iterations,
-        straggler,
-        deadline: m.budget.as_ref().map(|_| outcome != "deadline_exceeded"),
-        end_to_end_us: now.saturating_duration_since(m.submitted).as_secs_f64() * 1e6,
-        admission_us: m.admission_us,
-        queue_us: m.queue_us,
-        transit_us: m.transit_us,
-        backoff_us: m.backoff_us,
-        hedge_us: m.hedge_us,
-        solve_us: m.prior_solve_us,
-        ..PhaseLedger::default()
-    };
-    if is_spill {
-        ledger.spill_us += exec_us;
-    } else {
-        ledger.solve_us += exec_us;
-    }
-    if let Some(sim) = sim {
-        ledger.sim_spmv_us = sim.spmv_us;
-        ledger.sim_reduction_us = sim.reduction_us;
-        ledger.sim_sync_us = sim.sync_us;
-        ledger.sim_transfer_us = sim.transfer_us;
-    }
-    ledger.close();
-    ledger
-}
-
-/// Emit the ledger event and feed the class tracker — the single point
-/// every winning fleet delivery funnels through.
-fn record_terminal(ctx: &WorkerCtx, id: RequestId, ledger: PhaseLedger) {
-    ctx.classes.observe_ledger(Some(id), &ledger);
-    ctx.tracer.emit(Some(id), EventKind::Ledger(ledger));
-}
-
-/// Ledger-building view of a rebuilt [`Pending`] (retry paths deliver
-/// terminal failures from Pendings, not metas).
-fn pending_meta(p: &Pending) -> ItemMeta {
-    ItemMeta {
-        id: p.id,
-        slot: Arc::clone(&p.slot),
-        budget: p.budget,
-        enqueued: p.enqueued,
-        wait: Duration::ZERO,
-        attempt: p.attempt,
-        submitted: p.submitted,
-        admission_us: p.admission_us,
-        queue_us: p.queue_us,
-        transit_us: p.transit_us,
-        backoff_us: p.backoff_us,
-        hedge_us: 0.0,
-        prior_solve_us: p.solve_us,
-        group: Arc::clone(&p.group),
-    }
-}
-
 /// Execute one chunk on this worker's engine. Terminal outcomes go
-/// through each item's [`OutcomeSlot`](crate::work::OutcomeSlot), so no
-/// path — success, shed, engine error, retry exhaustion, worker panic,
-/// lost hedge race — ever delivers twice or drops an item.
+/// through each item's [`Lifecycle::deliver`], so no path — success,
+/// shed, engine error, retry exhaustion, worker panic, lost hedge race —
+/// ever delivers twice or drops an item.
 pub(crate) fn execute_chunk(ctx: &WorkerCtx, chunk: Chunk, role: ChunkRole) {
     let shard = &ctx.shard;
-    if chunk.len() == 0 {
-        return;
-    }
     let dispatch_start = Instant::now();
     let is_primary = matches!(role, ChunkRole::Primary);
     let register_hedge = is_primary && ctx.hedge.enabled && ctx.degrade.hedging_allowed();
-    let origin = chunk.origin;
+    // This hop's wait lands in its phase: first-hop primary dispatch is
+    // queueing, a retry re-queue is a transit hop, and a hedge duplicate
+    // charges its whole enqueue → dispatch span (queue plus the
+    // primary's partial flight) to the hedge phase.
+    let hop = match role {
+        ChunkRole::Primary if chunk.attempt == 1 => Phase::Queue,
+        ChunkRole::Primary => Phase::Transit,
+        ChunkRole::Hedge { .. } => Phase::Hedge,
+    };
+    let Chunk {
+        items: pendings,
+        origin,
+        attempt,
+        group,
+    } = chunk;
 
-    let mut meta: Vec<ItemMeta> = Vec::with_capacity(chunk.len());
-    let mut items: Vec<BatchItem> = Vec::with_capacity(chunk.len());
+    let mut items: Vec<BatchItem> = Vec::with_capacity(pendings.len());
+    let mut lives: Vec<Lifecycle> = Vec::with_capacity(pendings.len());
+    let mut waits: Vec<Duration> = Vec::with_capacity(pendings.len());
     let mut hedge_clones: Vec<Pending> = Vec::new();
     let mut shed = 0usize;
 
-    for mut p in chunk.items {
-        if p.slot.is_claimed() {
+    for mut p in pendings {
+        if p.life.slot.is_claimed() {
             // The other side of a hedge pair already delivered this
             // one; executing it again would be pure waste.
             continue;
         }
-        // Clone for the hedge advertisement *before* attributing this
-        // hop's wait: the duplicate measures its own enqueue → hedge
-        // dispatch span as the hedge phase, so pre-charging the
-        // primary's queue wait here would double-count the interval.
+        // Clone for the hedge advertisement *before* booking this hop's
+        // wait: the duplicate books its own enqueue → hedge dispatch
+        // span, so booking the primary's queue wait here would count
+        // the interval twice.
         if register_hedge {
             hedge_clones.push(p.clone());
         }
-        let wait = dispatch_start.saturating_duration_since(p.enqueued);
-        // Attribute this hop's wait to its phase: first-hop primary
-        // dispatch is queueing, a retry re-queue is a transit hop, and
-        // a hedge duplicate charges its whole enqueue → dispatch span
-        // (queue plus the primary's partial flight) to the hedge phase.
-        let wait_us = wait.as_secs_f64() * 1e6;
-        let mut hedge_us = 0.0;
-        match role {
-            ChunkRole::Primary if p.attempt == 1 => p.queue_us += wait_us,
-            ChunkRole::Primary => p.transit_us += wait_us,
-            ChunkRole::Hedge { .. } => hedge_us = wait_us,
-        }
-        let mut shed_now = false;
-        if is_primary {
-            if let Some(budget) = p.budget.as_mut() {
-                budget.debit(wait);
-                shed_now = budget.is_exhausted()
-                    || (ctx.degrade.shedding() && !budget.covers(ctx.predicted_chunk_cost));
-            }
-        }
-        let m = ItemMeta {
-            id: p.id,
-            slot: Arc::clone(&p.slot),
-            budget: p.budget,
-            enqueued: p.enqueued,
-            wait,
-            attempt: p.attempt,
-            submitted: p.submitted,
-            admission_us: p.admission_us,
-            queue_us: p.queue_us,
-            transit_us: p.transit_us,
-            backoff_us: p.backoff_us,
-            hedge_us,
-            prior_solve_us: p.solve_us,
-            group: Arc::clone(&p.group),
-        };
-        if shed_now {
-            if let Some(tx) = m.slot.claim() {
-                shard.stats.failed.fetch_add(1, Ordering::Relaxed);
-                shard.stats.shed.fetch_add(1, Ordering::Relaxed);
-                shed += 1;
-                let budget = m.budget.expect("shed implies a deadline budget");
-                let straggler = m.group.finish_one();
-                let ledger = build_fleet_ledger(
-                    &m,
-                    "deadline_exceeded",
-                    0,
-                    false,
-                    0.0,
-                    ctx.is_spill,
-                    None,
-                    straggler,
-                    Instant::now(),
-                );
-                record_terminal(ctx, m.id, ledger);
-                let _ = tx.send(Err(SolveError::DeadlineExceeded {
+        let wait = p.life.clock.lap(hop, dispatch_start);
+        if let Some(budget) = p.life.budget.as_mut().filter(|_| is_primary) {
+            budget.debit(wait);
+            if budget.is_exhausted()
+                || (ctx.degrade.shedding() && !budget.covers(ctx.predicted_chunk_cost))
+            {
+                let error = SolveError::DeadlineExceeded {
                     waited: budget.consumed(),
                     deadline: budget.total(),
-                }));
+                };
+                let shed_one = || {
+                    shard.stats.failed.fetch_add(1, Ordering::Relaxed);
+                    shard.stats.shed.fetch_add(1, Ordering::Relaxed);
+                    Settled::failure("deadline_exceeded", group.finish_one())
+                };
+                let (id, life) = (p.item.id, &p.life);
+                if life.deliver(id, &ctx.tracer, &ctx.classes, Err(error), shed_one) {
+                    shed += 1;
+                }
+                continue;
             }
-            continue;
         }
-        meta.push(m);
-        items.push(BatchItem {
-            id: p.id,
-            values: p.values,
-            rhs: p.rhs,
-            guess: p.guess,
-            tolerance: p.tolerance,
-        });
+        items.push(p.item);
+        lives.push(p.life);
+        waits.push(wait);
     }
     if shed > 0 {
         ctx.tracer.emit(
@@ -522,10 +301,14 @@ pub(crate) fn execute_chunk(ctx: &WorkerCtx, chunk: Chunk, role: ChunkRole) {
     if register_hedge {
         let infl = Arc::new(InflightChunk {
             started: dispatch_start,
-            origin,
             executor: shard.id,
             hedged: AtomicBool::new(false),
-            items: hedge_clones,
+            chunk: Chunk {
+                items: hedge_clones,
+                origin,
+                attempt,
+                group: Arc::clone(&group),
+            },
         });
         *shard.inflight.lock().unwrap() = Some(infl);
     }
@@ -536,92 +319,48 @@ pub(crate) fn execute_chunk(ctx: &WorkerCtx, chunk: Chunk, role: ChunkRole) {
         *shard.inflight.lock().unwrap() = None;
     }
 
-    // Feed the breaker *before* outcomes go out: on_batch guards the
-    // device, and a caller unblocked by a failure delivery must observe
-    // the trip on its very next submit. (The breaker sees every
-    // execution's health — including a losing hedge's — because it
-    // guards the device, not the outcome slots.)
+    // Feed the breaker *before* outcomes go out: a caller unblocked by a
+    // delivery must observe the trip on its very next submit. (The
+    // breaker sees every execution's health — including a losing
+    // hedge's — because it guards the device, not the outcome slots.)
     let degraded = match &result {
-        Ok(Ok(report)) => report
-            .outcomes
-            .iter()
-            .filter(|o| !o.converged || o.method == SolveMethod::BandedLuFallback)
-            .count(),
+        Ok(Ok(report)) => report.outcomes.iter().filter(|o| o.is_degraded()).count(),
         _ => n,
     };
-    if shard.breaker.on_batch(Instant::now(), n, degraded) {
+    if feed_breaker(&shard.breaker, &ctx.tracer, n, degraded) {
         shard.stats.breaker_trips.fetch_add(1, Ordering::Relaxed);
-        ctx.tracer.emit(None, EventKind::BreakerTrip);
     }
 
-    match result {
+    let error = match result {
         Ok(Ok(report)) => {
             shard.stats.add_sim_time(report.sim_time_s);
             let finished = Instant::now();
-            let exec_us = finished.duration_since(dispatch_start).as_secs_f64() * 1e6;
-            let item_sim = report.split.per_item(n);
+            let sim = report.split.per_item(n);
             let mut delivered = 0usize;
-            for (outcome, m) in report.outcomes.into_iter().zip(meta) {
-                let outcome_tag = if outcome.converged {
-                    match outcome.method {
-                        SolveMethod::Bicgstab => "converged_bicgstab",
-                        SolveMethod::Gmres => "converged_gmres",
-                        SolveMethod::BandedLuFallback => "converged_banded_lu",
-                    }
-                } else {
-                    "not_converged"
-                };
-                let terminal: SolveOutcome = if outcome.converged {
-                    Ok(Solution {
-                        x: outcome.x,
-                        iterations: outcome.iterations,
-                        residual: outcome.residual,
-                        method: outcome.method,
-                        batch_size: n,
-                        queue_wait: m.wait,
-                        rungs: outcome.rungs,
-                    })
-                } else {
-                    Err(SolveError::NotConverged {
-                        iterations: outcome.iterations,
-                        residual: outcome.residual,
-                        breakdown: outcome.breakdown,
-                        rungs: outcome.rungs,
-                    })
-                };
-                let won = outcome.converged;
-                // Claim first, count second, send last: by the time the
-                // caller's `wait_all` unblocks, every counter and sample
-                // for this outcome has already landed.
-                if let Some(tx) = m.slot.claim() {
-                    delivered += 1;
-                    if won {
-                        shard.stats.completed.fetch_add(1, Ordering::Relaxed);
+            for ((o, mut life), wait) in report.outcomes.into_iter().zip(lives).zip(waits) {
+                life.clock.lap(ctx.exec_phase, finished);
+                let id = o.id;
+                let (settled, outcome) = settle(o, n, wait);
+                let won = life.deliver(id, &ctx.tracer, &ctx.classes, outcome, || {
+                    let counter = if settled.converged {
+                        &shard.stats.completed
                     } else {
-                        shard.stats.failed.fetch_add(1, Ordering::Relaxed);
-                    }
+                        &shard.stats.failed
+                    };
+                    counter.fetch_add(1, Ordering::Relaxed);
                     // Only the slot winner samples: the reservoirs then
                     // reflect the latency callers actually observed.
-                    {
-                        let mut s = shard.stats.sampled.lock().unwrap();
-                        s.wait_us.push(m.wait.as_micros() as u64);
-                        s.latency_us.push(m.enqueued.elapsed().as_micros() as u64);
+                    let mut s = shard.stats.sampled.lock().unwrap();
+                    s.wait_us.push(wait.as_micros() as u64);
+                    s.latency_us
+                        .push((wait + dispatch_start.elapsed()).as_micros() as u64);
+                    Settled {
+                        straggler: group.finish_one(),
+                        sim: Some(sim),
+                        ..settled
                     }
-                    let straggler = m.group.finish_one();
-                    let ledger = build_fleet_ledger(
-                        &m,
-                        outcome_tag,
-                        outcome.iterations,
-                        outcome.converged,
-                        exec_us,
-                        ctx.is_spill,
-                        Some(&item_sim),
-                        straggler,
-                        Instant::now(),
-                    );
-                    record_terminal(ctx, m.id, ledger);
-                    let _ = tx.send(terminal);
-                }
+                });
+                delivered += usize::from(won);
             }
             if let ChunkRole::Hedge { primary } = role {
                 if delivered > 0 {
@@ -636,45 +375,55 @@ pub(crate) fn execute_chunk(ctx: &WorkerCtx, chunk: Chunk, role: ChunkRole) {
                     );
                 }
             }
+            return;
         }
-        Ok(Err(err)) => {
-            // The engine failed the whole fused launch (e.g. a simulated
-            // device fault): every member fails, none is lost.
-            let code = match err {
-                Error::DeviceFailure { code } => code,
-                _ => "engine_error",
-            };
-            finish_failed(
-                ctx,
-                role,
-                meta,
-                items,
-                SolveError::DeviceFailure { code },
-                "device_failure",
-                dispatch_start,
-            );
-        }
-        Err(panic) => {
-            let detail = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".to_string());
-            finish_failed(
-                ctx,
-                role,
-                meta,
-                items,
-                SolveError::WorkerPanic { detail },
-                "worker_panic",
-                dispatch_start,
-            );
-        }
+        // The engine failed the whole fused launch (e.g. a simulated
+        // device fault): every member fails, none is lost.
+        Ok(Err(Error::DeviceFailure { code })) => SolveError::DeviceFailure { code },
+        Ok(Err(_)) => SolveError::DeviceFailure {
+            code: "engine_error",
+        },
+        Err(panic) => SolveError::WorkerPanic {
+            detail: panic_detail(&*panic),
+        },
+    };
+    // A hedge duplicate never delivers failures and never retries: the
+    // primary flight still owns these items, and hedging exists to beat
+    // stragglers, not to double-report faults.
+    if is_primary {
+        let failed = Chunk {
+            items: items
+                .into_iter()
+                .zip(lives)
+                .map(|(item, life)| Pending { item, life })
+                .collect(),
+            origin,
+            attempt,
+            group,
+        };
+        finish_failed(ctx, failed, error);
     }
 }
 
-/// Failure epilogue: retry the chunk elsewhere if the policy allows,
-/// otherwise deliver the terminal error to every still-unclaimed slot.
+/// Deliver one terminal failure through the funnel, counted on this
+/// shard.
+fn fail(
+    ctx: &WorkerCtx,
+    group: &GroupProgress,
+    p: &Pending,
+    outcome: &'static str,
+    error: SolveError,
+) {
+    p.life
+        .deliver(p.item.id, &ctx.tracer, &ctx.classes, Err(error), || {
+            ctx.shard.stats.failed.fetch_add(1, Ordering::Relaxed);
+            Settled::failure(outcome, group.finish_one())
+        });
+}
+
+/// Failure epilogue of a primary flight: retry the chunk elsewhere if
+/// the policy allows, otherwise deliver the terminal error to every
+/// still-unclaimed slot.
 ///
 /// `SolveError::DeviceFailure` and `SolveError::WorkerPanic` are the
 /// fleet's *retryable* class (mirroring `FailureClass` in
@@ -682,179 +431,93 @@ pub(crate) fn execute_chunk(ctx: &WorkerCtx, chunk: Chunk, role: ChunkRole) {
 /// different shard may well succeed. Data-level failures
 /// (`NotConverged`) come through the success path above and are always
 /// terminal.
-#[allow(clippy::too_many_arguments)]
-fn finish_failed(
-    ctx: &WorkerCtx,
-    role: ChunkRole,
-    meta: Vec<ItemMeta>,
-    items: Vec<BatchItem>,
-    error: SolveError,
-    reason: &'static str,
-    dispatch_start: Instant,
-) {
+fn finish_failed(ctx: &WorkerCtx, mut chunk: Chunk, error: SolveError) {
     let shard = &ctx.shard;
-
-    // A hedge duplicate never delivers failures and never retries: the
-    // primary flight still owns these items, and hedging exists to beat
-    // stragglers, not to double-report faults.
-    if matches!(role, ChunkRole::Hedge { .. }) {
-        return;
+    let reason = match error {
+        SolveError::WorkerPanic { .. } => "worker_panic",
+        _ => "device_failure",
+    };
+    // The failed attempt's wall time lands in this pool's phase of
+    // whatever terminal ledger follows.
+    let failed_at = Instant::now();
+    for p in &mut chunk.items {
+        p.life.clock.lap(ctx.exec_phase, failed_at);
     }
-
-    // Wall time the failed attempt burned inside the dispatch; folded
-    // into the solve phase of whatever terminal ledger follows.
-    let attempt_us = dispatch_start.elapsed().as_secs_f64() * 1e6;
-    let attempt = meta.first().map(|m| m.attempt).unwrap_or(1);
-    if attempt < ctx.retry.max_attempts {
-        // Deterministic backoff keyed by the chunk's lead request id.
-        let next_attempt = attempt + 1;
-        let lead_id = items.first().map(|i| i.id).unwrap_or(0);
-        let backoff = ctx.retry.backoff(next_attempt, lead_id);
-
-        // Rebuild pendings, debiting the backoff we are about to sleep
-        // from every budget; systems the backoff would push past their
-        // deadline fail now instead of burning a pointless attempt.
-        let mut pendings: Vec<Pending> = Vec::with_capacity(items.len());
-        for (item, m) in items.into_iter().zip(meta.iter()) {
-            if m.slot.is_claimed() {
-                continue;
-            }
-            let mut budget = m.budget;
-            if let Some(b) = budget.as_mut() {
-                b.debit(backoff);
-                if b.is_exhausted() {
-                    if let Some(tx) = m.slot.claim() {
-                        shard.stats.failed.fetch_add(1, Ordering::Relaxed);
-                        let mut lm = m.clone();
-                        lm.backoff_us += backoff.as_secs_f64() * 1e6;
-                        lm.prior_solve_us += attempt_us;
-                        let straggler = lm.group.finish_one();
-                        let ledger = build_fleet_ledger(
-                            &lm,
-                            "deadline_exceeded",
-                            0,
-                            false,
-                            0.0,
-                            ctx.is_spill,
-                            None,
-                            straggler,
-                            Instant::now(),
-                        );
-                        record_terminal(ctx, lm.id, ledger);
-                        let _ = tx.send(Err(SolveError::DeadlineExceeded {
-                            waited: b.consumed(),
-                            deadline: b.total(),
-                        }));
-                    }
-                    continue;
-                }
-            }
-            pendings.push(Pending {
-                id: item.id,
-                values: item.values,
-                rhs: item.rhs,
-                guess: item.guess,
-                tolerance: item.tolerance,
-                enqueued: Instant::now(),
-                budget,
-                attempt: next_attempt,
-                slot: Arc::clone(&m.slot),
-                submitted: m.submitted,
-                admission_us: m.admission_us,
-                queue_us: m.queue_us,
-                transit_us: m.transit_us,
-                backoff_us: m.backoff_us + backoff.as_secs_f64() * 1e6,
-                solve_us: m.prior_solve_us + attempt_us,
-                group: Arc::clone(&m.group),
-            });
-        }
-
-        if !pendings.is_empty() {
-            std::thread::sleep(backoff);
-            // Walk the other shards first (self only as a last resort,
-            // when the fleet has a single GPU shard): a fault that hit
-            // this device should not greet the retry too.
-            let devices = ctx.peers.len();
-            let mut chunk = Some(Chunk {
-                items: pendings,
-                origin: shard.id,
-            });
-            for k in 1..=devices {
-                let target = &ctx.peers[(shard.id as usize + k) % devices];
-                if target.breaker.check(Instant::now()).is_err() {
-                    continue;
-                }
-                let mut c = chunk.take().unwrap();
-                c.origin = target.id;
-                let size = c.len();
-                match target.queue.try_push(c) {
-                    Ok(()) => {
-                        shard.stats.retries.fetch_add(1, Ordering::Relaxed);
-                        ctx.tracer.emit(
-                            None,
-                            EventKind::RetryAttempt {
-                                from: shard.id,
-                                to: target.id,
-                                size,
-                                attempt: next_attempt,
-                                backoff_us: backoff.as_micros() as u64,
-                                reason,
-                            },
-                        );
-                        return;
-                    }
-                    Err(back) => chunk = Some(back),
-                }
-            }
-            // Every queue full or breaker open: terminal after all.
-            if let Some(c) = chunk {
-                for p in c.items {
-                    if let Some(tx) = p.slot.claim() {
-                        shard.stats.failed.fetch_add(1, Ordering::Relaxed);
-                        let pm = pending_meta(&p);
-                        let straggler = pm.group.finish_one();
-                        let ledger = build_fleet_ledger(
-                            &pm,
-                            reason,
-                            0,
-                            false,
-                            0.0,
-                            ctx.is_spill,
-                            None,
-                            straggler,
-                            Instant::now(),
-                        );
-                        record_terminal(ctx, p.id, ledger);
-                        let _ = tx.send(Err(error.clone()));
-                    }
-                }
-            }
-            return;
+    if chunk.attempt >= ctx.retry.max_attempts {
+        for p in &chunk.items {
+            fail(ctx, &chunk.group, p, reason, error.clone());
         }
         return;
     }
 
-    // Attempts exhausted (or retries off): terminal delivery.
-    for m in meta {
-        if let Some(tx) = m.slot.claim() {
-            shard.stats.failed.fetch_add(1, Ordering::Relaxed);
-            let mut lm = m.clone();
-            lm.prior_solve_us += attempt_us;
-            let straggler = lm.group.finish_one();
-            let ledger = build_fleet_ledger(
-                &lm,
-                reason,
-                0,
-                false,
-                0.0,
-                ctx.is_spill,
-                None,
-                straggler,
-                Instant::now(),
-            );
-            record_terminal(ctx, m.id, ledger);
-            let _ = tx.send(Err(error.clone()));
+    // Deterministic backoff keyed by the chunk's lead request id.
+    let next_attempt = chunk.attempt + 1;
+    let lead_id = chunk.items.first().map(|p| p.item.id).unwrap_or(0);
+    let backoff = ctx.retry.backoff(next_attempt, lead_id);
+    // Debit the backoff we are about to sleep from every budget; systems
+    // it would push past their deadline fail now instead of burning a
+    // pointless attempt.
+    chunk.items.retain_mut(|p| {
+        if p.life.slot.is_claimed() {
+            return false;
         }
+        let Some(budget) = p.life.budget.as_mut() else {
+            return true;
+        };
+        budget.debit(backoff);
+        if !budget.is_exhausted() {
+            return true;
+        }
+        let error = SolveError::DeadlineExceeded {
+            waited: budget.consumed(),
+            deadline: budget.total(),
+        };
+        fail(ctx, &chunk.group, p, "deadline_exceeded", error);
+        false
+    });
+    if chunk.items.is_empty() {
+        return;
+    }
+    std::thread::sleep(backoff);
+    let slept = Instant::now();
+    for p in &mut chunk.items {
+        p.life.clock.lap(Phase::Backoff, slept);
+    }
+    chunk.attempt = next_attempt;
+
+    // Walk the other shards first (self only as a last resort, when the
+    // fleet has a single GPU shard): a fault that hit this device should
+    // not greet the retry too.
+    let devices = ctx.peers.len();
+    for k in 1..=devices {
+        let target = &ctx.peers[(shard.id as usize + k) % devices];
+        if target.breaker.check(Instant::now()).is_err() {
+            continue;
+        }
+        chunk.origin = target.id;
+        let size = chunk.len();
+        match target.queue.try_push(chunk) {
+            PushResult::Ok => {
+                shard.stats.retries.fetch_add(1, Ordering::Relaxed);
+                ctx.tracer.emit(
+                    None,
+                    EventKind::RetryAttempt {
+                        from: shard.id,
+                        to: target.id,
+                        size,
+                        attempt: next_attempt,
+                        backoff_us: backoff.as_micros() as u64,
+                        reason,
+                    },
+                );
+                return;
+            }
+            PushResult::Full(back) | PushResult::Closed(back) => chunk = back,
+        }
+    }
+    // Every queue full or breaker open: terminal after all.
+    for p in &chunk.items {
+        fail(ctx, &chunk.group, p, reason, error.clone());
     }
 }
 
@@ -866,7 +529,7 @@ fn hedge_delay(ctx: &WorkerCtx, victim: &ShardShared) -> Duration {
         let s = victim.stats.sampled.lock().unwrap();
         let mut samples: Vec<u64> = s.latency_us.samples().to_vec();
         samples.sort_unstable();
-        percentile_us(&samples, 0.99)
+        percentile(&samples, 0.99)
     };
     ctx.hedge.min_delay.max(p99.mul_f64(ctx.hedge.p99_factor))
 }
@@ -894,9 +557,10 @@ fn try_hedge(ctx: &WorkerCtx) -> bool {
             continue; // someone else already duplicated this flight
         }
         let items: Vec<Pending> = infl
+            .chunk
             .items
             .iter()
-            .filter(|p| !p.slot.is_claimed())
+            .filter(|p| !p.life.slot.is_claimed())
             .cloned()
             .collect();
         if items.is_empty() {
@@ -917,7 +581,9 @@ fn try_hedge(ctx: &WorkerCtx) -> bool {
             ctx,
             Chunk {
                 items,
-                origin: infl.origin,
+                origin: infl.chunk.origin,
+                attempt: infl.chunk.attempt,
+                group: Arc::clone(&infl.chunk.group),
             },
             ChunkRole::Hedge {
                 primary: infl.executor,
@@ -926,64 +592,4 @@ fn try_hedge(ctx: &WorkerCtx) -> bool {
         return true;
     }
     false
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn empty_chunk() -> Chunk {
-        Chunk {
-            items: Vec::new(),
-            origin: 0,
-        }
-    }
-
-    #[test]
-    fn queue_backpressure_and_drain_on_close() {
-        let q = ChunkQueue::new(2);
-        assert!(q.try_push(empty_chunk()).is_ok());
-        assert!(q.try_push(empty_chunk()).is_ok());
-        assert!(q.try_push(empty_chunk()).is_err(), "full queue rejects");
-        q.close();
-        assert!(q.try_push(empty_chunk()).is_err(), "closed queue rejects");
-        // Drain-first: both queued chunks come out before Closed.
-        assert!(matches!(
-            q.pop_wait(Duration::from_millis(1)),
-            Popped::Chunk(_)
-        ));
-        assert!(matches!(
-            q.pop_wait(Duration::from_millis(1)),
-            Popped::Chunk(_)
-        ));
-        assert!(matches!(
-            q.pop_wait(Duration::from_millis(1)),
-            Popped::Closed
-        ));
-    }
-
-    #[test]
-    fn steal_takes_the_oldest_chunk() {
-        let q = ChunkQueue::new(8);
-        q.try_push(Chunk {
-            items: Vec::new(),
-            origin: 7,
-        })
-        .map_err(|_| ())
-        .unwrap();
-        q.try_push(Chunk {
-            items: Vec::new(),
-            origin: 9,
-        })
-        .map_err(|_| ())
-        .unwrap();
-        assert_eq!(q.steal().unwrap().origin, 7, "FIFO steal");
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn empty_steal_returns_none() {
-        let q = ChunkQueue::new(1);
-        assert!(q.steal().is_none());
-    }
 }

@@ -4,7 +4,7 @@
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use batsolv_runtime::ClassesSnapshot;
+use batsolv_runtime::{percentile_us, ClassesSnapshot};
 
 use crate::shard::ShardShared;
 
@@ -185,14 +185,9 @@ impl FleetSnapshot {
     }
 }
 
-/// Percentile over a *sorted* µs sample slice — same nearest-rank
-/// convention as the runtime stats registry.
-pub(crate) fn percentile_us(sorted: &[u64], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    Duration::from_micros(sorted[idx])
+/// [`percentile_us`] over a *sorted* µs sample slice, as a duration.
+pub(crate) fn percentile(sorted: &[u64], p: f64) -> Duration {
+    Duration::from_micros(percentile_us(sorted, p))
 }
 
 /// Snapshot one shard, appending its raw samples to the fleet-wide
@@ -230,10 +225,10 @@ pub(crate) fn snapshot_shard(
         hedges_won: shared.stats.hedges_won.load(Ordering::Relaxed),
         shed: shared.stats.shed.load(Ordering::Relaxed),
         sim_time_s: shared.stats.sim_time_ns.load(Ordering::Relaxed) as f64 / 1e9,
-        wait_p50: percentile_us(&wait, 0.50),
-        wait_p99: percentile_us(&wait, 0.99),
-        latency_p50: percentile_us(&latency, 0.50),
-        latency_p99: percentile_us(&latency, 0.99),
+        wait_p50: percentile(&wait, 0.50),
+        wait_p99: percentile(&wait, 0.99),
+        latency_p50: percentile(&latency, 0.50),
+        latency_p99: percentile(&latency, 0.99),
     }
 }
 
@@ -243,10 +238,10 @@ mod tests {
 
     #[test]
     fn percentile_follows_the_runtime_convention() {
-        assert_eq!(percentile_us(&[], 0.99), Duration::ZERO);
+        assert_eq!(percentile(&[], 0.99), Duration::ZERO);
         let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_us(&sorted, 0.50), Duration::from_micros(51));
-        assert_eq!(percentile_us(&sorted, 0.99), Duration::from_micros(99));
-        assert_eq!(percentile_us(&[7], 0.99), Duration::from_micros(7));
+        assert_eq!(percentile(&sorted, 0.50), Duration::from_micros(51));
+        assert_eq!(percentile(&sorted, 0.99), Duration::from_micros(99));
+        assert_eq!(percentile(&[7], 0.99), Duration::from_micros(7));
     }
 }

@@ -1,19 +1,12 @@
-//! Work items flowing through the fleet: pending systems, routed
-//! chunks, and the group ticket callers redeem for outcomes.
-//!
-//! The exactly-once contract lives here. Every accepted system owns one
-//! [`OutcomeSlot`]: an atomically claimed, single-shot outcome channel.
-//! Retries and hedge duplicates mean a system can be *executed* more
-//! than once, but only the first executor to reach a terminal outcome
-//! wins the slot — every later delivery attempt is a no-op. Stats
-//! counters (`completed`/`failed`) increment only on the winning
-//! delivery, so accounting matches what the caller observes.
+//! Work items flowing through the fleet: routed chunks of pending
+//! systems, group progress, and the group ticket callers redeem for
+//! outcomes. The pending record and its exactly-once reply slot are the
+//! runtime's ([`batsolv_runtime::lifecycle`]).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::Instant;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 
-use batsolv_runtime::{DeadlineBudget, RequestId, SolveError, SolveOutcome};
+use batsolv_runtime::{Pending, RequestId, SolveError, SolveOutcome};
 
 /// Group-completion tracker for straggler attribution: the winning
 /// delivery that drops `remaining` to zero finished the group, and its
@@ -39,118 +32,22 @@ impl GroupProgress {
     }
 }
 
-/// Single-shot, first-winner-wins outcome channel for one system.
-///
-/// `claimed` is the race arbiter: the first `deliver` to swap it true
-/// takes the sender and sends; everyone else sees `false` back and
-/// drops their outcome on the floor. The sender is consumed on the
-/// winning delivery so the receiver's `recv` can also unblock via
-/// disconnect if the service is torn down before any delivery.
-pub(crate) struct OutcomeSlot {
-    claimed: AtomicBool,
-    tx: Mutex<Option<mpsc::Sender<SolveOutcome>>>,
-}
-
-impl OutcomeSlot {
-    pub fn new(tx: mpsc::Sender<SolveOutcome>) -> OutcomeSlot {
-        OutcomeSlot {
-            claimed: AtomicBool::new(false),
-            tx: Mutex::new(Some(tx)),
-        }
-    }
-
-    /// Claim the slot, returning its sender to the winner. Losers get
-    /// `None`. Winners update stats counters *before* sending, so a
-    /// caller unblocked by the outcome always observes consistent
-    /// snapshots.
-    pub fn claim(&self) -> Option<mpsc::Sender<SolveOutcome>> {
-        if self.claimed.swap(true, Ordering::AcqRel) {
-            return None;
-        }
-        self.tx.lock().unwrap().take()
-    }
-
-    /// Deliver the terminal outcome if no one has yet. Returns true iff
-    /// this call won the slot. Production paths use [`claim`] directly
-    /// so counters land before the send; this wrapper keeps the race
-    /// tests focused on the claim arbiter itself.
-    ///
-    /// [`claim`]: OutcomeSlot::claim
-    #[cfg(test)]
-    pub fn deliver(&self, outcome: SolveOutcome) -> bool {
-        match self.claim() {
-            Some(tx) => {
-                // A dropped receiver is the caller's business, not ours.
-                let _ = tx.send(outcome);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// True once some executor has won the slot. Advisory only — a
-    /// false answer can be stale by the time the caller acts on it, so
-    /// it gates *work avoidance*, never correctness.
-    pub fn is_claimed(&self) -> bool {
-        self.claimed.load(Ordering::Acquire)
-    }
-}
-
-/// One accepted system awaiting execution, with its reply slot.
-///
-/// Clone-able because hedging duplicates in-flight work: the hedge
-/// executor gets its own copy of the payload but shares the
-/// [`OutcomeSlot`] through the `Arc`, which is what keeps the outcome
-/// exactly-once.
-#[derive(Clone)]
-pub(crate) struct Pending {
-    /// Fleet-assigned request id (one namespace across shards).
-    pub id: RequestId,
-    /// CSR values over the fleet's shared pattern.
-    pub values: Vec<f64>,
-    /// Right-hand side.
-    pub rhs: Vec<f64>,
-    /// Optional warm-start guess.
-    pub guess: Option<Vec<f64>>,
-    /// Per-request tolerance override.
-    pub tolerance: Option<f64>,
-    /// When the system entered a queue (wait measurement). Reset on
-    /// retry re-queue so wait samples measure the current hop.
-    pub enqueued: Instant,
-    /// Remaining deadline budget, if the request carried a deadline.
-    /// A value type: it rides the Pending through queues, steals, and
-    /// retries, debited at each hop.
-    pub budget: Option<DeadlineBudget>,
-    /// 1-based execution attempt; bumped when the retry policy
-    /// re-routes the system after a retryable failure.
-    pub attempt: u32,
-    /// Exactly-once outcome channel, shared with any hedge duplicate.
-    pub slot: Arc<OutcomeSlot>,
-    /// When the group entered `submit_group` — the end-to-end anchor of
-    /// the phase ledger. Unlike `enqueued`, never reset.
-    pub submitted: Instant,
-    /// Validation and placement-planning time before the system entered
-    /// its first queue, µs.
-    pub admission_us: f64,
-    /// Accumulated first-hop shard-queue wait, µs.
-    pub queue_us: f64,
-    /// Accumulated re-route hop wait (retry re-queues), µs.
-    pub transit_us: f64,
-    /// Accumulated retry backoff slept on this system's behalf, µs.
-    pub backoff_us: f64,
-    /// Wall time burned inside failed prior solve attempts, µs.
-    pub solve_us: f64,
-    /// Group-completion tracker shared by every member.
-    pub group: Arc<GroupProgress>,
-}
-
 /// A routed unit of execution: the systems of one placement, tagged
 /// with the shard the scheduler assigned them to. A thief executing a
-/// stolen chunk keeps `origin` so steals stay attributable.
+/// stolen chunk keeps `origin` so steals stay attributable. A hedge
+/// duplicate is a chunk of cloned [`Pending`]s: its own payloads, but
+/// each [`OutcomeSlot`](batsolv_runtime::OutcomeSlot) shared through its
+/// `Arc`, which keeps outcomes exactly-once.
 pub(crate) struct Chunk {
     pub items: Vec<Pending>,
     /// The shard the scheduler originally dispatched the chunk to.
     pub origin: u32,
+    /// 1-based execution attempt; bumped when the retry policy
+    /// re-routes the chunk after a retryable failure.
+    pub attempt: u32,
+    /// Completion tracker of the group the chunk was placed from (a
+    /// chunk never mixes groups).
+    pub group: Arc<GroupProgress>,
 }
 
 impl Chunk {
@@ -189,46 +86,5 @@ impl GroupTicket {
             .into_iter()
             .map(|rx| rx.recv().unwrap_or(Err(SolveError::ServiceShutdown)))
             .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn slot_delivers_exactly_once() {
-        let (tx, rx) = mpsc::channel();
-        let slot = OutcomeSlot::new(tx);
-        assert!(!slot.is_claimed());
-        assert!(slot.deliver(Err(SolveError::ServiceShutdown)));
-        assert!(slot.is_claimed());
-        // Second delivery loses the race and is dropped.
-        assert!(!slot.deliver(Err(SolveError::DeviceFailure { code: "too_late" })));
-        let got = rx.recv().unwrap();
-        assert!(matches!(got, Err(SolveError::ServiceShutdown)));
-        // Nothing else arrives: sender consumed, channel disconnected.
-        assert!(rx.recv().is_err());
-    }
-
-    #[test]
-    fn concurrent_deliveries_produce_one_winner() {
-        for _ in 0..64 {
-            let (tx, rx) = mpsc::channel();
-            let slot = Arc::new(OutcomeSlot::new(tx));
-            let wins: Vec<bool> = std::thread::scope(|s| {
-                (0..4)
-                    .map(|_| {
-                        let slot = Arc::clone(&slot);
-                        s.spawn(move || slot.deliver(Err(SolveError::ServiceShutdown)))
-                    })
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(|h| h.join().unwrap())
-                    .collect()
-            });
-            assert_eq!(wins.iter().filter(|&&w| w).count(), 1);
-            assert_eq!(rx.try_iter().count(), 1);
-        }
     }
 }

@@ -247,3 +247,55 @@ fn unreachable_tolerance_refuses_the_group_and_spares_its_batchmates() {
     assert_eq!(snap.rejected, 24, "each refused group counts whole");
     assert_eq!(snap.spilled, 0);
 }
+
+/// A shard's breaker trip freezes the flight recorder, as the runtime's
+/// does: the dump is the trip's post-mortem.
+#[test]
+fn breaker_trip_dumps_the_flight_recorder() {
+    use batsolv_faults::{FaultPlan, FaultRates};
+    use batsolv_trace::{EventKind, FlightRecorder, MemorySink, Tracer};
+
+    let pattern = Arc::new(SparsityPattern::stencil_2d(4, 4, false));
+    let sink = Arc::new(MemorySink::new());
+    let recorder = Arc::new(FlightRecorder::new(256));
+    let failing = FaultPlan::new(
+        3,
+        FaultRates {
+            device_fail: 1.0,
+            ..Default::default()
+        },
+    );
+    let cfg = FleetConfig::new(1)
+        .with_min_batch_size(2)
+        .with_max_batch_size(8)
+        .with_breaker(BreakerConfig {
+            trip_after: 1,
+            cooldown: Duration::from_secs(60),
+            max_backoff: Duration::from_secs(60),
+            degraded_fraction: 0.5,
+        })
+        .with_tracer(Tracer::with_flight_recorder(
+            sink.clone(),
+            Arc::clone(&recorder),
+        ));
+    let hooks: Vec<Arc<dyn LaunchHook>> = vec![Arc::new(failing)];
+    let service = FleetService::start_with_hooks(Arc::clone(&pattern), cfg, hooks).unwrap();
+
+    let t = service.submit_group(group(&pattern, 4), None).unwrap();
+    for o in t.wait_all() {
+        assert!(
+            matches!(o, Err(batsolv_runtime::SolveError::DeviceFailure { .. })),
+            "every launch fails: {o:?}"
+        );
+    }
+    let snap = service.shutdown();
+    assert_eq!(snap.breaker_trips(), 1);
+    let dump = recorder
+        .last_dump()
+        .expect("a breaker trip must dump the flight recorder");
+    assert_eq!(dump.reason, "breaker_trip");
+    assert!(sink
+        .snapshot()
+        .iter()
+        .any(|e| matches!(e.kind, EventKind::FlightDump { .. })));
+}

@@ -1,8 +1,9 @@
-//! One numerics and one pricing across both serving cores: the same
-//! systems, submitted at defaults to the single-device `SolveService`
-//! (one formed batch) and to a one-shard `FleetService` (one group, so
-//! one chunk), come back bit for bit equal, with equal iteration counts
-//! and an equal simulated solve split per request.
+//! One numerics, one pricing and one ledger builder across both serving
+//! cores: the same systems, submitted at defaults to the single-device
+//! `SolveService` (one formed batch) and to a one-shard `FleetService`
+//! (one group, so one chunk), come back bit for bit equal, with equal
+//! iteration counts, an equal simulated solve split per request, and
+//! balanced ledgers that agree on outcome, class and deadline.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -11,27 +12,29 @@ use std::time::Duration;
 use batsolv_fleet::{FleetConfig, FleetService};
 use batsolv_gpusim::DeviceSpec;
 use batsolv_runtime::{RuntimeConfig, Solution, SolveRequest, SolveService};
-use batsolv_trace::{EventKind, MemorySink, Tracer};
+use batsolv_trace::{EventKind, MemorySink, PhaseLedger, Tracer};
 use batsolv_xgc::{VelocityGrid, XgcWorkload};
 
-/// Each request's simulated solve split (spmv, reduction, sync,
-/// transfer µs), read from its ledger, keyed by request id.
-fn sim_splits(sink: &MemorySink) -> HashMap<u64, [f64; 4]> {
+/// Each request's ledger, keyed by request id.
+fn ledgers(sink: &MemorySink) -> HashMap<u64, PhaseLedger> {
     sink.snapshot()
         .into_iter()
         .filter_map(|e| match (e.trace_id, e.kind) {
-            (Some(id), EventKind::Ledger(l)) => Some((
-                id,
-                [
-                    l.sim_spmv_us,
-                    l.sim_reduction_us,
-                    l.sim_sync_us,
-                    l.sim_transfer_us,
-                ],
-            )),
+            (Some(id), EventKind::Ledger(l)) => Some((id, l)),
             _ => None,
         })
         .collect()
+}
+
+/// A ledger's simulated solve split (spmv, reduction, sync, transfer
+/// µs).
+fn sim_split(l: &PhaseLedger) -> [f64; 4] {
+    [
+        l.sim_spmv_us,
+        l.sim_reduction_us,
+        l.sim_sync_us,
+        l.sim_transfer_us,
+    ]
 }
 
 #[test]
@@ -73,7 +76,7 @@ fn runtime_and_fleet_solve_and_price_a_batch_identically() {
         .collect();
     fleet.shutdown();
 
-    let (runtime_sim, fleet_sim) = (sim_splits(&runtime_sink), sim_splits(&fleet_sink));
+    let (runtime_ledgers, fleet_ledgers) = (ledgers(&runtime_sink), ledgers(&fleet_sink));
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for (k, (r, f)) in runtime.iter().zip(&fleet_out).enumerate() {
         assert_eq!(r.batch_size, K, "request {k}: one fused runtime launch");
@@ -83,12 +86,19 @@ fn runtime_and_fleet_solve_and_price_a_batch_identically() {
         assert_eq!(r.iterations, f.iterations, "request {k}");
         assert_eq!(r.method, f.method, "request {k}");
         let id = k as u64;
+        let (rl, fl) = (&runtime_ledgers[&id], &fleet_ledgers[&id]);
         assert_eq!(
-            runtime_sim[&id].map(f64::to_bits),
-            fleet_sim[&id].map(f64::to_bits),
+            sim_split(rl).map(f64::to_bits),
+            sim_split(fl).map(f64::to_bits),
             "request {k}: simulated split {:?} vs {:?}",
-            runtime_sim[&id],
-            fleet_sim[&id]
+            sim_split(rl),
+            sim_split(fl)
         );
+        assert_eq!(rl.outcome, fl.outcome, "request {k}");
+        assert_eq!(rl.class, fl.class, "request {k}");
+        assert_eq!(rl.iterations, fl.iterations, "request {k}");
+        assert_eq!(rl.deadline, fl.deadline, "request {k}");
+        assert!(rl.balanced_within(1.0), "request {k}: {rl:?}");
+        assert!(fl.balanced_within(1.0), "request {k}: {fl:?}");
     }
 }

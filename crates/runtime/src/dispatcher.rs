@@ -67,6 +67,14 @@ pub struct ItemOutcome {
     pub rungs: Vec<RungAttempt>,
 }
 
+impl ItemOutcome {
+    /// Failed, or rescued only by the banded-LU fallback: what the
+    /// circuit breaker counts against a device.
+    pub fn is_degraded(&self) -> bool {
+        !self.converged || self.method == SolveMethod::BandedLuFallback
+    }
+}
+
 /// What one fused dispatch produced.
 #[derive(Clone, Debug)]
 pub struct BatchReport {

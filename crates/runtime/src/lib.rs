@@ -36,6 +36,10 @@
 //! * **per-request outcomes** — converged solution with iteration count,
 //!   final residual, and the rung trail, or a structured error — exactly
 //!   one per accepted request, delivered through a [`Ticket`];
+//! * **one request lifecycle** ([`lifecycle`]), shared with the fleet's
+//!   shard workers: the pending record, its exactly-once
+//!   [`OutcomeSlot`], the phase clock behind every ledger, and the
+//!   terminal funnel every outcome leaves through;
 //! * a **stats registry** with a full failure taxonomy (rejects by
 //!   reason, breakdowns by kind, breaker trips, watchdog stalls, rung
 //!   histogram) read via [`SolveService::stats`].
@@ -78,6 +82,7 @@ pub mod config;
 pub mod dispatcher;
 pub mod executor;
 pub mod former;
+pub mod lifecycle;
 pub mod metrics;
 pub mod queue;
 pub mod request;
@@ -97,6 +102,9 @@ pub use dispatcher::{
 };
 pub use executor::{BatchExecutor, ExecMode, ExecReport};
 pub use former::{BatchFormer, FlushReason};
+pub use lifecycle::{
+    feed_breaker, panic_detail, settle, Lifecycle, OutcomeSlot, Pending, Phase, PhaseClock, Settled,
+};
 pub use metrics::{prometheus_text, prometheus_text_with_classes, render_class_series};
 pub use queue::{BoundedQueue, PopResult, PushResult};
 pub use request::{

@@ -1,9 +1,11 @@
-//! Bounded submission queue with explicit backpressure.
+//! Bounded queue with explicit backpressure: the service's submission
+//! queue and every fleet shard's chunk queue.
 //!
-//! `Mutex<VecDeque>` + `Condvar` rather than a channel: submitters need
+//! `Mutex<VecDeque>` + `Condvar` rather than a channel: producers need
 //! an immediate full/not-full answer (never blocking, never dropping),
-//! and the single consumer needs a timed wait so it can wake up for
-//! linger deadlines.
+//! the owning consumer needs a timed wait so it can wake up for linger
+//! deadlines and steal polls, and other shards' thieves need a
+//! non-blocking pop of the oldest entry (`pop_wait(Duration::ZERO)`).
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -37,7 +39,10 @@ struct State<T> {
     closed: bool,
 }
 
-/// A bounded MPSC queue: many submitters, one consumer.
+/// A bounded FIFO queue: many producers (submitters, the fleet's
+/// scheduler and retrying shards); one owning consumer, plus, on a fleet
+/// shard, thieves that pop too. Every pop takes the oldest entry under
+/// one lock, so an entry is taken exactly once.
 #[derive(Debug)]
 pub struct BoundedQueue<T> {
     state: Mutex<State<T>>,

@@ -10,40 +10,29 @@
 //! budget, and a circuit breaker sheds load after a run of degraded
 //! batches.
 
+use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use batsolv_formats::SparsityPattern;
 use batsolv_gpusim::LaunchHook;
-use batsolv_trace::{classify, EventKind, PhaseLedger, Tracer};
+use batsolv_trace::{EventKind, Tracer};
 use batsolv_types::{Error, Result};
 
 use crate::admission::{AdmissionGate, RejectReason};
 use crate::breaker::CircuitBreaker;
 use crate::classes::{ClassTracker, ClassesSnapshot};
 use crate::config::RuntimeConfig;
-use crate::dispatcher::{BatchItem, LadderConfig, LadderEngine, SimSplit, SolveEngine};
+use crate::dispatcher::{BatchItem, BatchReport, LadderConfig, LadderEngine, SolveEngine};
 use crate::former::{BatchFormer, FlushReason};
+use crate::lifecycle::{feed_breaker, panic_detail, settle, Lifecycle, Pending, Phase, Settled};
 use crate::queue::{BoundedQueue, PopResult, PushResult};
-use crate::request::{Solution, SolveError, SolveOutcome, SolveRequest, SubmitError, Ticket};
+use crate::request::{RequestId, SolveError, SolveMethod, SolveRequest, SubmitError, Ticket};
 use crate::stats::{BatchOutcomes, StatsRegistry, StatsSnapshot};
 use crate::watchdog::{spawn_watchdog, WatchState};
-
-/// A request as it travels through the queue and former.
-struct Pending {
-    item: BatchItem,
-    deadline: Option<Duration>,
-    enqueued_at: Instant,
-    /// Time spent in admission (shape/finiteness/breaker checks) before
-    /// the request entered the queue.
-    admission: Duration,
-    /// When the worker popped it from the queue (queue→linger boundary).
-    popped_at: Option<Instant>,
-    reply: mpsc::Sender<SolveOutcome>,
-}
 
 struct Shared {
     queue: BoundedQueue<Pending>,
@@ -57,55 +46,40 @@ struct Shared {
     batch_seq: AtomicU64,
 }
 
-/// Build one request's phase ledger at its terminal moment. The wall
-/// phases partition `[submit, now]`: admission, queue wait, linger
-/// (pop → dispatch), solve (dispatch → delivery), and `other` absorbs
-/// the residual so the phase-sum invariant holds exactly. The `sim_*`
-/// fields carry the per-item share of the dispatch's simulated solve
-/// split — a separate clock reported alongside the wall phases.
-#[allow(clippy::too_many_arguments)]
-fn build_ledger(
-    p: &Pending,
-    outcome: &'static str,
-    iterations: u32,
-    converged: bool,
-    dispatched_at: Option<Instant>,
-    sim: Option<&SimSplit>,
-    straggler: bool,
-    now: Instant,
-) -> PhaseLedger {
-    let us = |d: Duration| d.as_secs_f64() * 1e6;
-    let mut ledger = PhaseLedger {
-        outcome,
-        class: classify(iterations, converged),
-        iterations,
-        straggler,
-        deadline: p.deadline.map(|_| outcome != "deadline_exceeded"),
-        end_to_end_us: us(now.saturating_duration_since(p.enqueued_at) + p.admission),
-        admission_us: us(p.admission),
-        ..PhaseLedger::default()
-    };
-    let queue_end = p.popped_at.unwrap_or(now).min(now);
-    ledger.queue_us = us(queue_end.saturating_duration_since(p.enqueued_at));
-    if let (Some(popped), Some(dispatched)) = (p.popped_at, dispatched_at) {
-        ledger.linger_us = us(dispatched.saturating_duration_since(popped));
-        ledger.solve_us = us(now.saturating_duration_since(dispatched));
+impl Shared {
+    /// Deliver one terminal failure through the funnel: `count` it, emit
+    /// its `Terminal` event, send `error`.
+    fn fail(
+        &self,
+        id: RequestId,
+        life: &Lifecycle,
+        outcome: &'static str,
+        count: fn(&StatsRegistry),
+        error: SolveError,
+    ) {
+        life.deliver(id, &self.tracer, &self.classes, Err(error), || {
+            count(&self.stats);
+            self.tracer.emit(
+                Some(id),
+                EventKind::Terminal {
+                    outcome,
+                    iterations: 0,
+                    residual: f64::NAN,
+                    rungs: 0,
+                },
+            );
+            Settled::failure(outcome, false)
+        });
     }
-    if let Some(sim) = sim {
-        ledger.sim_spmv_us = sim.spmv_us;
-        ledger.sim_reduction_us = sim.reduction_us;
-        ledger.sim_sync_us = sim.sync_us;
-        ledger.sim_transfer_us = sim.transfer_us;
-    }
-    ledger.close();
-    ledger
-}
 
-/// Emit the ledger event and feed the class tracker — the single point
-/// every terminal outcome funnels through.
-fn record_terminal(shared: &Shared, id: u64, ledger: PhaseLedger) {
-    shared.classes.observe_ledger(Some(id), &ledger);
-    shared.tracer.emit(Some(id), EventKind::Ledger(ledger));
+    /// Feed one dispatch's health to the breaker and count a trip.
+    fn note_dispatch(&self, total: usize, degraded: usize) {
+        if let Some(breaker) = &self.breaker {
+            if feed_breaker(breaker, &self.tracer, total, degraded) {
+                self.stats.on_breaker_trip();
+            }
+        }
+    }
 }
 
 /// Multi-threaded dynamic-batching solve service.
@@ -297,21 +271,7 @@ impl SolveService {
         }
 
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        let pending = Pending {
-            item: BatchItem {
-                id,
-                values: request.values,
-                rhs: request.rhs,
-                guess: request.guess,
-                tolerance: request.tolerance,
-            },
-            deadline: request.deadline,
-            enqueued_at: Instant::now(),
-            admission: submit_started.elapsed(),
-            popped_at: None,
-            reply: tx,
-        };
+        let (pending, rx) = Pending::accept(id, request, submit_started, Instant::now());
         match self.shared.queue.try_push(pending) {
             PushResult::Ok => {
                 self.shared.stats.on_accepted();
@@ -425,6 +385,13 @@ fn worker_loop(
     let now_ns = |at: Instant| -> u64 {
         u64::try_from(at.duration_since(epoch).as_nanos()).unwrap_or(u64::MAX)
     };
+    // The pop books the queue wait; the former ages the request from
+    // its enqueue instant, so linger counts from the push.
+    let admit = |former: &mut BatchFormer<Pending>, mut p: Pending| {
+        let popped = Instant::now();
+        let queued = p.life.clock.lap(Phase::Queue, popped);
+        former.push(p, now_ns((popped - queued).max(epoch)));
+    };
 
     'outer: loop {
         // Sleep until the oldest pending request's linger deadline, or
@@ -437,21 +404,15 @@ fn worker_loop(
             None => Duration::from_millis(100),
         };
         match shared.queue.pop_wait(timeout) {
-            PopResult::Item(mut p) => {
-                p.popped_at = Some(Instant::now());
-                let stamp = now_ns(p.enqueued_at.max(epoch));
-                former.push(p, stamp);
+            PopResult::Item(p) => {
+                admit(former, p);
                 // Greedily drain the backlog that piled up while the
                 // previous batch was solving: without this, requests
                 // already past their linger age would be flushed one at
                 // a time instead of fused into full batches.
                 while former.len() < config.batch_target {
                     match shared.queue.pop_wait(Duration::ZERO) {
-                        PopResult::Item(mut p) => {
-                            p.popped_at = Some(Instant::now());
-                            let stamp = now_ns(p.enqueued_at.max(epoch));
-                            former.push(p, stamp);
-                        }
+                        PopResult::Item(p) => admit(former, p),
                         _ => break,
                     }
                 }
@@ -495,34 +456,17 @@ fn dispatch(shared: &Shared, engine: &dyn SolveEngine, batch: Vec<Pending>) {
     // Enforce queue-wait deadlines at the last moment before the solve:
     // expired requests get a structured error, not a wasted solve slot.
     let mut live: Vec<Pending> = Vec::with_capacity(batch.len());
-    for p in batch {
-        let waited = p.enqueued_at.elapsed();
-        match p.deadline {
-            Some(deadline) if waited > deadline => {
-                shared.stats.on_deadline_exceeded();
-                shared.tracer.emit(
-                    Some(p.item.id),
-                    EventKind::Terminal {
-                        outcome: "deadline_exceeded",
-                        iterations: 0,
-                        residual: f64::NAN,
-                        rungs: 0,
-                    },
-                );
-                let ledger = build_ledger(
-                    &p,
-                    "deadline_exceeded",
-                    0,
-                    false,
-                    None,
-                    None,
-                    false,
-                    Instant::now(),
-                );
-                record_terminal(shared, p.item.id, ledger);
-                let _ = p
-                    .reply
-                    .send(Err(SolveError::DeadlineExceeded { waited, deadline }));
+    for mut p in batch {
+        p.life.clock.lap(Phase::Linger, dispatched_at);
+        let waited = p.life.clock.since_submitted(dispatched_at);
+        match p.life.budget {
+            Some(budget) if waited > budget.total() => {
+                let error = SolveError::DeadlineExceeded {
+                    waited,
+                    deadline: budget.total(),
+                };
+                let count = StatsRegistry::on_deadline_exceeded;
+                shared.fail(p.item.id, &p.life, "deadline_exceeded", count, error);
             }
             _ => {
                 shared.tracer.emit(
@@ -535,10 +479,9 @@ fn dispatch(shared: &Shared, engine: &dyn SolveEngine, batch: Vec<Pending>) {
             }
         }
     }
-    if live.is_empty() {
-        return;
+    if !live.is_empty() {
+        run_batch(shared, engine, live);
     }
-    run_batch(shared, engine, live, dispatched_at);
 }
 
 /// Run one batch through the engine with panic/device-failure isolation.
@@ -548,61 +491,26 @@ fn dispatch(shared: &Shared, engine: &dyn SolveEngine, batch: Vec<Pending>) {
 /// request fails again *alone* and absorbs the blame, while every other
 /// member solves normally — a faulty neighbor never costs a healthy
 /// request its outcome.
-fn run_batch(
-    shared: &Shared,
-    engine: &dyn SolveEngine,
-    live: Vec<Pending>,
-    dispatched_at: Instant,
-) {
-    let items: Vec<BatchItem> = live.iter().map(|p| p.item.clone()).collect();
+fn run_batch(shared: &Shared, engine: &dyn SolveEngine, live: Vec<Pending>) {
+    // The payloads move into the engine's batch; the lifecycles stay.
+    let (items, lives): (Vec<BatchItem>, Vec<Lifecycle>) =
+        live.into_iter().map(|p| (p.item, p.life)).unzip();
     let batch_size = items.len();
     shared.watch.begin();
     let solved = catch_unwind(AssertUnwindSafe(|| engine.solve_batch(&items)));
     shared.watch.end();
     match solved {
-        Ok(Ok(report)) => {
-            shared.stats.on_sync_counts(report.syncs, report.reductions);
-            fulfill(
-                shared,
-                live,
-                report.outcomes,
-                report.sim_time_s,
-                report.split,
-                dispatched_at,
-            )
+        Ok(Ok(report)) => fulfill(shared, lives, report),
+        Ok(Err(Error::DeviceFailure { .. })) | Err(_) if batch_size > 1 => {
+            for (item, life) in items.into_iter().zip(lives) {
+                run_batch(shared, engine, vec![Pending { item, life }]);
+            }
         }
         Ok(Err(Error::DeviceFailure { code })) => {
-            if batch_size > 1 {
-                for p in live {
-                    run_batch(shared, engine, vec![p], dispatched_at);
-                }
-            } else {
-                note_degraded_batch(shared, 1);
-                for p in live {
-                    shared.stats.on_device_failure();
-                    shared.tracer.emit(
-                        Some(p.item.id),
-                        EventKind::Terminal {
-                            outcome: "device_failure",
-                            iterations: 0,
-                            residual: f64::NAN,
-                            rungs: 0,
-                        },
-                    );
-                    let ledger = build_ledger(
-                        &p,
-                        "device_failure",
-                        0,
-                        false,
-                        Some(dispatched_at),
-                        None,
-                        false,
-                        Instant::now(),
-                    );
-                    record_terminal(shared, p.item.id, ledger);
-                    let _ = p.reply.send(Err(SolveError::DeviceFailure { code }));
-                }
-            }
+            shared.note_dispatch(1, 1);
+            let count = StatsRegistry::on_device_failure;
+            let error = SolveError::DeviceFailure { code };
+            fail_dispatched(shared, &items, lives, "device_failure", count, error);
         }
         Ok(Err(e)) => {
             // Engine-level failure (shape bug): every ticket of the batch
@@ -611,211 +519,108 @@ fn run_batch(
                 Error::DimensionMismatch(_) => "engine dimension mismatch",
                 _ => "engine failure",
             };
-            let waits: Vec<Duration> = live.iter().map(|p| p.enqueued_at.elapsed()).collect();
-            let failed = live.len() as u64;
-            for p in live {
-                shared.tracer.emit(
-                    Some(p.item.id),
-                    EventKind::Terminal {
-                        outcome: "engine_failure",
-                        iterations: 0,
-                        residual: f64::NAN,
-                        rungs: 0,
-                    },
-                );
-                let ledger = build_ledger(
-                    &p,
-                    "engine_failure",
-                    0,
-                    false,
-                    Some(dispatched_at),
-                    None,
-                    false,
-                    Instant::now(),
-                );
-                record_terminal(shared, p.item.id, ledger);
-                let _ = p.reply.send(Err(SolveError::NotConverged {
-                    iterations: 0,
-                    residual: f64::NAN,
-                    breakdown: Some(msg),
-                    rungs: vec![],
-                }));
-            }
-            shared.stats.on_batch(
-                batch_size,
-                &waits,
-                &[],
-                BatchOutcomes {
-                    failed,
-                    breakdowns: vec![msg; batch_size],
-                    ..Default::default()
-                },
-                0.0,
-            );
-            note_degraded_batch(shared, batch_size);
+            let now = Instant::now();
+            let waits: Vec<Duration> = lives.iter().map(|l| l.clock.since_submitted(now)).collect();
+            let tally = BatchOutcomes {
+                failed: batch_size as u64,
+                breakdowns: vec![msg; batch_size],
+                ..Default::default()
+            };
+            shared.stats.on_batch(batch_size, &waits, &[], tally, 0.0);
+            shared.note_dispatch(batch_size, batch_size);
+            let error = SolveError::NotConverged {
+                iterations: 0,
+                residual: f64::NAN,
+                breakdown: Some(msg),
+                rungs: vec![],
+            };
+            fail_dispatched(shared, &items, lives, "engine_failure", |_| {}, error);
         }
         Err(payload) => {
-            if batch_size > 1 {
-                for p in live {
-                    run_batch(shared, engine, vec![p], dispatched_at);
-                }
-            } else {
-                note_degraded_batch(shared, 1);
-                let detail = panic_detail(payload);
-                for p in live {
-                    shared.stats.on_worker_panic_outcome();
-                    shared.tracer.emit(
-                        Some(p.item.id),
-                        EventKind::Terminal {
-                            outcome: "worker_panic",
-                            iterations: 0,
-                            residual: f64::NAN,
-                            rungs: 0,
-                        },
-                    );
-                    let ledger = build_ledger(
-                        &p,
-                        "worker_panic",
-                        0,
-                        false,
-                        Some(dispatched_at),
-                        None,
-                        false,
-                        Instant::now(),
-                    );
-                    record_terminal(shared, p.item.id, ledger);
-                    let _ = p.reply.send(Err(SolveError::WorkerPanic {
-                        detail: detail.clone(),
-                    }));
-                }
-            }
+            shared.note_dispatch(1, 1);
+            let count = StatsRegistry::on_worker_panic_outcome;
+            let error = SolveError::WorkerPanic {
+                detail: panic_detail(&*payload),
+            };
+            fail_dispatched(shared, &items, lives, "worker_panic", count, error);
         }
     }
 }
 
-/// Deliver per-item outcomes and record the batch in stats + breaker.
-fn fulfill(
+/// Deliver one dispatch failure to every member of the batch; the
+/// dispatch's wall time lands in each one's solve phase.
+fn fail_dispatched(
     shared: &Shared,
-    live: Vec<Pending>,
-    outcomes: Vec<crate::dispatcher::ItemOutcome>,
-    sim_time_s: f64,
-    split: SimSplit,
-    dispatched_at: Instant,
+    items: &[BatchItem],
+    lives: Vec<Lifecycle>,
+    outcome: &'static str,
+    count: fn(&StatsRegistry),
+    error: SolveError,
 ) {
-    let batch_size = live.len();
-    debug_assert_eq!(outcomes.len(), batch_size);
-    let waits: Vec<Duration> = live.iter().map(|p| p.enqueued_at.elapsed()).collect();
-    let iterations: Vec<u32> = outcomes.iter().map(|o| o.iterations).collect();
+    let now = Instant::now();
+    for (item, mut life) in items.iter().zip(lives) {
+        life.clock.lap(Phase::Solve, now);
+        shared.fail(item.id, &life, outcome, count, error.clone());
+    }
+}
+
+/// Count the batch and feed the breaker, then deliver each outcome.
+fn fulfill(shared: &Shared, lives: Vec<Lifecycle>, report: BatchReport) {
+    let batch_size = lives.len();
+    debug_assert_eq!(report.outcomes.len(), batch_size);
+    let now = Instant::now();
+    let waits: Vec<Duration> = lives.iter().map(|l| l.clock.since_submitted(now)).collect();
+    let iterations: Vec<u32> = report.outcomes.iter().map(|o| o.iterations).collect();
+    let mut tally = BatchOutcomes::default();
+    for o in &report.outcomes {
+        tally.rungs_attempted.push(o.rungs.len());
+        match (o.converged, o.method) {
+            (true, SolveMethod::Bicgstab) => tally.converged_iterative += 1,
+            (true, SolveMethod::Gmres) => tally.converged_gmres += 1,
+            (true, SolveMethod::BandedLuFallback) => tally.converged_fallback += 1,
+            (false, _) => {
+                tally.failed += 1;
+                tally.breakdowns.extend(o.breakdown);
+            }
+        }
+    }
+    let degraded = report.outcomes.iter().filter(|o| o.is_degraded()).count();
+    shared.stats.on_sync_counts(report.syncs, report.reductions);
+    shared
+        .stats
+        .on_batch(batch_size, &waits, &iterations, tally, report.sim_time_s);
+    shared.note_dispatch(batch_size, degraded);
+
     // Straggler attribution: the fused launch runs until its slowest
     // member converges, so the member with the most iterations set the
     // batch's completion time (first such member on ties).
-    let straggler_idx = iterations
+    let straggler = iterations
         .iter()
         .enumerate()
-        .max_by_key(|&(i, &it)| (it, std::cmp::Reverse(i)))
-        .map(|(i, _)| i);
-    let item_sim = split.per_item(batch_size);
-    let mut tally = BatchOutcomes::default();
-    let mut degraded = 0usize;
-    for (idx, (p, o)) in live.into_iter().zip(outcomes).enumerate() {
-        let wait = p.enqueued_at.elapsed();
-        tally.rungs_attempted.push(o.rungs.len());
-        let outcome_tag = if o.converged {
-            match o.method {
-                crate::request::SolveMethod::Bicgstab => "converged_bicgstab",
-                crate::request::SolveMethod::Gmres => "converged_gmres",
-                crate::request::SolveMethod::BandedLuFallback => "converged_banded_lu",
+        .max_by_key(|&(i, &it)| (it, Reverse(i)))
+        .map(|(i, _)| i)
+        .filter(|_| batch_size > 1);
+    let sim = report.split.per_item(batch_size);
+    let delivery = lives.into_iter().zip(report.outcomes).zip(waits);
+    for (idx, ((mut life, o), wait)) in delivery.enumerate() {
+        life.clock.lap(Phase::Solve, Instant::now());
+        let (id, residual, rungs) = (o.id, o.residual, o.rungs.len());
+        let (settled, outcome) = settle(o, batch_size, wait);
+        life.deliver(id, &shared.tracer, &shared.classes, outcome, || {
+            shared.tracer.emit(
+                Some(id),
+                EventKind::Terminal {
+                    outcome: settled.outcome,
+                    iterations: settled.iterations,
+                    residual,
+                    rungs,
+                },
+            );
+            Settled {
+                straggler: straggler == Some(idx),
+                sim: Some(sim),
+                ..settled
             }
-        } else {
-            "not_converged"
-        };
-        shared.tracer.emit(
-            Some(o.id),
-            EventKind::Terminal {
-                outcome: outcome_tag,
-                iterations: o.iterations,
-                residual: o.residual,
-                rungs: o.rungs.len(),
-            },
-        );
-        let ledger = build_ledger(
-            &p,
-            outcome_tag,
-            o.iterations,
-            o.converged,
-            Some(dispatched_at),
-            Some(&item_sim),
-            straggler_idx == Some(idx) && batch_size > 1,
-            Instant::now(),
-        );
-        record_terminal(shared, o.id, ledger);
-        let outcome = if o.converged {
-            match o.method {
-                crate::request::SolveMethod::Bicgstab => tally.converged_iterative += 1,
-                crate::request::SolveMethod::Gmres => tally.converged_gmres += 1,
-                crate::request::SolveMethod::BandedLuFallback => {
-                    tally.converged_fallback += 1;
-                    degraded += 1;
-                }
-            }
-            Ok(Solution {
-                x: o.x,
-                iterations: o.iterations,
-                residual: o.residual,
-                method: o.method,
-                batch_size,
-                queue_wait: wait,
-                rungs: o.rungs,
-            })
-        } else {
-            tally.failed += 1;
-            degraded += 1;
-            if let Some(tag) = o.breakdown {
-                tally.breakdowns.push(tag);
-            }
-            Err(SolveError::NotConverged {
-                iterations: o.iterations,
-                residual: o.residual,
-                breakdown: o.breakdown,
-                rungs: o.rungs,
-            })
-        };
-        let _ = p.reply.send(outcome);
-    }
-    shared
-        .stats
-        .on_batch(batch_size, &waits, &iterations, tally, sim_time_s);
-    if let Some(breaker) = &shared.breaker {
-        if breaker.on_batch(Instant::now(), batch_size, degraded) {
-            note_breaker_trip(shared);
-        }
-    }
-}
-
-/// Report a fully-degraded batch (device failure, panic, engine error)
-/// to the breaker.
-fn note_degraded_batch(shared: &Shared, size: usize) {
-    if let Some(breaker) = &shared.breaker {
-        if breaker.on_batch(Instant::now(), size, size) {
-            note_breaker_trip(shared);
-        }
-    }
-}
-
-/// Count a breaker trip and freeze the event history that led to it.
-fn note_breaker_trip(shared: &Shared) {
-    shared.stats.on_breaker_trip();
-    shared.tracer.emit(None, EventKind::BreakerTrip);
-    let _ = shared.tracer.dump_flight("breaker_trip");
-}
-
-/// Best-effort panic payload text.
-fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+        });
     }
 }

@@ -144,8 +144,11 @@ pub struct PhaseLedger {
     pub class: WorkloadClass,
     /// Total solver iterations across rungs.
     pub iterations: u32,
-    /// True when this request's delivery completed its submission group
-    /// (it was the group's straggler).
+    /// True when this request was its dispatch's straggler, by the
+    /// rule of the core that served it: in the single-device service,
+    /// the member of a fused batch with the most iterations (first on
+    /// ties; never in a batch of one); in the fleet, the delivery that
+    /// completed its submission group.
     pub straggler: bool,
     /// Whether the request's deadline was met: `None` when it carried no
     /// deadline, `Some(false)` when the deadline expired before the
