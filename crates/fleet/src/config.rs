@@ -146,7 +146,7 @@ impl RetryPolicy {
 /// it and the first terminal outcome wins the shared outcome slots.
 #[derive(Clone, Copy, Debug)]
 pub struct HedgeConfig {
-    /// Master switch (also forced off at degradation level >= 1).
+    /// Master switch: idle GPU shards hedge only while this is set.
     pub enabled: bool,
     /// Floor on the hedge delay, so cold reservoirs (no latency
     /// samples yet) do not hedge instantly.
@@ -187,47 +187,6 @@ impl HedgeConfig {
     }
 }
 
-/// Queue-occupancy thresholds of the graceful-degradation ladder.
-///
-/// The fraction is fleet-wide GPU queue occupancy (queued chunks over
-/// total capacity). Crossing a threshold upward raises the level;
-/// falling back below lowers it. Levels: 0 normal, 1 hedges disabled,
-/// 2 sub-deadline shedding, 3 CPU-spill widening.
-#[derive(Clone, Copy, Debug)]
-pub struct DegradeConfig {
-    /// Occupancy at which hedging turns off (level 1).
-    pub hedge_off: f64,
-    /// Occupancy at which sub-deadline work is shed (level 2).
-    pub shed: f64,
-    /// Occupancy at which the CPU spill cutoff widens (level 3).
-    pub widen_spill: f64,
-}
-
-impl Default for DegradeConfig {
-    fn default() -> DegradeConfig {
-        DegradeConfig {
-            hedge_off: 0.50,
-            shed: 0.75,
-            widen_spill: 0.90,
-        }
-    }
-}
-
-impl DegradeConfig {
-    /// The ladder level for an occupancy fraction.
-    pub fn level_for(&self, occupancy: f64) -> u8 {
-        if occupancy >= self.widen_spill {
-            3
-        } else if occupancy >= self.shed {
-            2
-        } else if occupancy >= self.hedge_off {
-            1
-        } else {
-            0
-        }
-    }
-}
-
 /// Knobs of a fleet service.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
@@ -252,14 +211,10 @@ pub struct FleetConfig {
     pub ladder: LadderConfig,
     /// Per-shard circuit-breaker knobs.
     pub breaker: BreakerConfig,
-    /// Solve workers modeled in the CPU spill pool.
-    pub cpu_workers: usize,
     /// Retry policy for retryable chunk failures.
     pub retry: RetryPolicy,
     /// Straggler-hedging policy.
     pub hedge: HedgeConfig,
-    /// Graceful-degradation ladder thresholds.
-    pub degrade: DegradeConfig,
     /// Tracer every shard (and the scheduler) emits into.
     pub tracer: Tracer,
 }
@@ -280,10 +235,8 @@ impl FleetConfig {
             steal_seed: 0x5eed_f1ee,
             ladder: LadderConfig::default(),
             breaker: BreakerConfig::default(),
-            cpu_workers: DEFAULT_CPU_WORKERS,
             retry: RetryPolicy::disabled(),
             hedge: HedgeConfig::disabled(),
-            degrade: DegradeConfig::default(),
             tracer: Tracer::disabled(),
         }
     }
@@ -348,12 +301,6 @@ impl FleetConfig {
         self
     }
 
-    /// Override the degradation-ladder thresholds.
-    pub fn with_degrade(mut self, degrade: DegradeConfig) -> Self {
-        self.degrade = degrade;
-        self
-    }
-
     /// Attach a tracer.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
@@ -378,9 +325,6 @@ impl FleetConfig {
         if self.queue_capacity == 0 {
             return Err(Error::InvalidConfig("queue_capacity must be >= 1".into()));
         }
-        if self.cpu_workers == 0 {
-            return Err(Error::InvalidConfig("cpu_workers must be >= 1".into()));
-        }
         if self.retry.max_attempts == 0 {
             return Err(Error::InvalidConfig(
                 "retry.max_attempts must be >= 1 (1 means retries off)".into(),
@@ -389,12 +333,6 @@ impl FleetConfig {
         if !self.hedge.p99_factor.is_finite() || self.hedge.p99_factor <= 0.0 {
             return Err(Error::InvalidConfig(
                 "hedge.p99_factor must be positive and finite".into(),
-            ));
-        }
-        let d = &self.degrade;
-        if d.hedge_off > d.shed || d.shed > d.widen_spill {
-            return Err(Error::InvalidConfig(
-                "degrade thresholds must be ordered hedge_off <= shed <= widen_spill".into(),
             ));
         }
         Ok(())
@@ -446,14 +384,6 @@ mod tests {
             })
             .validate()
             .is_err());
-        assert!(FleetConfig::new(2)
-            .with_degrade(DegradeConfig {
-                hedge_off: 0.9,
-                shed: 0.5,
-                widen_spill: 0.95,
-            })
-            .validate()
-            .is_err());
     }
 
     #[test]
@@ -489,16 +419,5 @@ mod tests {
         // Jitter never exceeds the cap either.
         let jittered = RetryPolicy::new(40);
         assert!(jittered.backoff(40, 9) <= jittered.max_backoff);
-    }
-
-    #[test]
-    fn degrade_levels_follow_the_thresholds() {
-        let d = DegradeConfig::default();
-        assert_eq!(d.level_for(0.0), 0);
-        assert_eq!(d.level_for(0.49), 0);
-        assert_eq!(d.level_for(0.50), 1);
-        assert_eq!(d.level_for(0.75), 2);
-        assert_eq!(d.level_for(0.90), 3);
-        assert_eq!(d.level_for(1.0), 3);
     }
 }

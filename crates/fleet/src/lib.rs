@@ -29,9 +29,7 @@
 //!   failures (device faults, worker panics) re-queue on a *different*
 //!   shard after a deterministic seeded backoff; idle shards duplicate
 //!   straggling peer flights after a p99-derived delay, with shared
-//!   outcome slots keeping delivery exactly-once; a graceful-degradation
-//!   ladder (hedges off → shedding → widened spill) keeps overload from
-//!   amplifying itself;
+//!   outcome slots keeping delivery exactly-once;
 //! * **fleet observability** — per-shard [`StatsSnapshot`-style]
 //!   snapshots roll up into a [`FleetSnapshot`] with per-shard and
 //!   fleet-wide wait/latency percentiles, trace events carry the shard
@@ -66,7 +64,6 @@
 //! ```
 
 pub mod config;
-mod degrade;
 pub mod metrics;
 pub mod range;
 pub mod service;
@@ -76,7 +73,7 @@ pub mod stats;
 mod work;
 
 pub use config::{
-    DegradeConfig, DeviceProfile, FleetConfig, HedgeConfig, RetryPolicy, DEFAULT_CPU_WORKERS,
+    DeviceProfile, FleetConfig, HedgeConfig, RetryPolicy, DEFAULT_CPU_WORKERS,
     DEFAULT_MAX_BATCH_SIZE, DEFAULT_MIN_BATCH_SIZE,
 };
 pub use metrics::fleet_prometheus_text;

@@ -68,12 +68,6 @@ pub fn fleet_prometheus_text(f: &FleetSnapshot) -> String {
         &[],
         f.sim_time_total_s,
     );
-    m.gauge(
-        "batsolv_fleet_degrade_level",
-        "Graceful-degradation ladder level (0 normal .. 3 widened spill).",
-        &[],
-        f.degrade_level as f64,
-    );
     for (q, v) in [("0.5", f.wait_p50), ("0.99", f.wait_p99)] {
         m.gauge(
             "batsolv_fleet_wait_seconds",
@@ -272,7 +266,6 @@ mod tests {
             latency_p99: Duration::from_micros(1900),
             makespan_s: 1.0,
             sim_time_total_s: 2.5,
-            degrade_level: 1,
             classes: classes(),
         }
     }
@@ -290,7 +283,6 @@ mod tests {
         assert!(page.contains("batsolv_fleet_device_hedges_fired_total{device=\"0\""));
         assert!(page.contains("batsolv_fleet_device_hedges_won_total{device=\"cpu-pool\""));
         assert!(page.contains("batsolv_fleet_device_shed_total{device=\"0\""));
-        assert!(page.contains("batsolv_fleet_degrade_level 1"));
     }
 
     #[test]

@@ -25,7 +25,6 @@ use batsolv_trace::{EventKind, Tracer};
 use batsolv_types::Result;
 
 use crate::config::{FleetConfig, HedgeConfig};
-use crate::degrade::DegradeState;
 use crate::metrics::fleet_prometheus_text;
 use crate::range::{victim_order, DeviceRange, Route};
 use crate::shard::{spawn_shard_worker, ShardShared, ShardStats, WorkerCtx};
@@ -42,10 +41,6 @@ const PREDICT_ITERS: u32 = 40;
 /// A running fleet: GPU shards plus the CPU spill pool.
 pub struct FleetService {
     range: DeviceRange,
-    /// The range used at degradation level 3: the CPU spill cutoff is
-    /// doubled, so marginal chunks widen onto the spill pool instead of
-    /// deepening saturated GPU queues.
-    wide_range: DeviceRange,
     shards: Arc<Vec<Arc<ShardShared>>>,
     cpu: Arc<ShardShared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -62,7 +57,6 @@ pub struct FleetService {
     queue_capacity: usize,
     nnz: usize,
     n: usize,
-    degrade: Arc<DegradeState>,
     /// Device-model prediction for one full chunk, the admission
     /// feasibility bar for deadline-carrying requests.
     predicted_chunk_cost: Duration,
@@ -90,12 +84,6 @@ impl FleetService {
         cfg.validate()?;
         assert_eq!(hooks.len(), cfg.devices, "one hook per GPU shard");
         let range = DeviceRange::new(cfg.devices, cfg.min_batch_size, cfg.max_batch_size);
-        let wide_range = DeviceRange::new(
-            cfg.devices,
-            (cfg.min_batch_size * 2).min(cfg.max_batch_size),
-            cfg.max_batch_size,
-        );
-        let degrade = Arc::new(DegradeState::new(cfg.degrade));
         let classes = Arc::new(ClassTracker::new());
         let spec = cfg.profile.spec();
         let predicted_chunk_cost = Duration::from_secs_f64(spec.predict_chunk_seconds(
@@ -153,8 +141,6 @@ impl FleetService {
                 tracer: cfg.tracer.clone(),
                 retry: cfg.retry,
                 hedge: cfg.hedge,
-                degrade: Arc::clone(&degrade),
-                predicted_chunk_cost,
                 classes: Arc::clone(&classes),
                 exec_phase: Phase::Solve,
             }));
@@ -166,7 +152,6 @@ impl FleetService {
         // tail, not fused straggler candidates).
         let cpu_engine: Arc<dyn SolveEngine> = Arc::new(CpuLuEngine::new(
             Arc::clone(&pattern),
-            cfg.cpu_workers,
             range.cpu_shard(),
             cfg.tracer.clone(),
         ));
@@ -178,15 +163,12 @@ impl FleetService {
             tracer: cfg.tracer.clone(),
             retry: cfg.retry,
             hedge: HedgeConfig::disabled(),
-            degrade: Arc::clone(&degrade),
-            predicted_chunk_cost,
             classes: Arc::clone(&classes),
             exec_phase: Phase::Spill,
         }));
 
         Ok(FleetService {
             range,
-            wide_range,
             shards,
             cpu,
             workers: Mutex::new(workers),
@@ -201,7 +183,6 @@ impl FleetService {
             queue_capacity: cfg.queue_capacity,
             nnz: pattern.nnz(),
             n: pattern.num_rows(),
-            degrade,
             predicted_chunk_cost,
             tracer: cfg.tracer,
             classes,
@@ -269,8 +250,8 @@ impl FleetService {
         hint: Option<u32>,
     ) -> std::result::Result<GroupTicket, SubmitError> {
         // Phase-ledger anchor: everything between here and the first
-        // queue push is the admission phase (validation, degradation
-        // bookkeeping, feasibility, placement planning).
+        // queue push is the admission phase (validation, feasibility,
+        // placement planning).
         let submit_started = Instant::now();
         self.check_members(&requests)
             .map_err(|e| self.refuse(requests.len(), e))?;
@@ -278,14 +259,6 @@ impl FleetService {
         let _placement = self.submit_lock.lock().unwrap();
         if self.shutting_down.load(Ordering::Relaxed) {
             return Err(SubmitError::ShuttingDown);
-        }
-
-        // Re-evaluate the degradation ladder on fleet-wide GPU queue
-        // occupancy (serialized here under the submit lock).
-        let queued: usize = self.shards.iter().map(|s| s.queue.len()).sum();
-        let capacity = (self.range.num_devices() * self.queue_capacity).max(1);
-        if let Some((from, to)) = self.degrade.observe(queued as f64 / capacity as f64) {
-            self.tracer.emit(None, EventKind::DegradeShift { from, to });
         }
 
         // Deadline feasibility: if the device model already prices one
@@ -304,16 +277,10 @@ impl FleetService {
             }
         }
 
-        // Plan every chunk's destination before queueing anything. At
-        // degradation level 3 the wide range (doubled spill cutoff)
-        // diverts marginal chunks to the CPU pool.
-        let range = if self.degrade.widen_spill() {
-            &self.wide_range
-        } else {
-            &self.range
-        };
-        let first = range.pick_shard(hint, self.round_robin.fetch_add(1, Ordering::Relaxed));
-        let placements = range.route_group(requests.len(), first);
+        // Plan every chunk's destination before queueing anything.
+        let turn = self.round_robin.fetch_add(1, Ordering::Relaxed);
+        let first = self.range.pick_shard(hint, turn);
+        let placements = self.range.route_group(requests.len(), first);
         let now = Instant::now();
         let devices = self.range.num_devices();
         let mut planned = vec![0usize; devices + 1]; // [devices] = CPU pool
@@ -348,7 +315,7 @@ impl FleetService {
                                 }
                             }
                         }
-                        cur = range.next_shard(cur);
+                        cur = self.range.next_shard(cur);
                     }
                     match chosen {
                         Some(c) => {
@@ -428,7 +395,7 @@ impl FleetService {
                         None,
                         EventKind::CpuSpill {
                             size,
-                            min_batch_size: range.min_batch_size,
+                            min_batch_size: self.range.min_batch_size,
                         },
                     );
                 }
@@ -473,7 +440,6 @@ impl FleetService {
             spilled: self.spilled.load(Ordering::Relaxed),
             makespan_s,
             sim_time_total_s,
-            degrade_level: self.degrade.level(),
             classes: self.classes.snapshot(),
         }
     }

@@ -14,8 +14,7 @@
 //! * **Deadline budgets** — each pending system may carry a
 //!   [`DeadlineBudget`](batsolv_runtime::DeadlineBudget); the worker
 //!   debits queue wait at dispatch and sheds systems whose budget is
-//!   spent (or, at degradation level 2+, whose remaining budget cannot
-//!   cover the predicted chunk cost).
+//!   spent.
 //! * **Retry with backoff** — a retryable chunk failure (device fault,
 //!   worker panic) re-queues the chunk on a *different* shard after a
 //!   deterministic, seeded backoff, until `RetryPolicy::max_attempts`
@@ -41,7 +40,6 @@ use batsolv_trace::{EventKind, Tracer};
 use batsolv_types::Error;
 
 use crate::config::{HedgeConfig, RetryPolicy};
-use crate::degrade::DegradeState;
 use crate::stats::percentile;
 use crate::work::{Chunk, GroupProgress};
 
@@ -69,8 +67,7 @@ pub(crate) struct ShardStats {
     pub hedges_fired: AtomicU64,
     /// Hedge duplicates this shard won (delivered at least one outcome).
     pub hedges_won: AtomicU64,
-    /// Systems shed at dispatch: budget spent, or sub-deadline under
-    /// degradation level 2+.
+    /// Systems shed at dispatch because their budget was spent.
     pub shed: AtomicU64,
     /// Simulated device time, nanoseconds (atomics hold no f64).
     pub sim_time_ns: AtomicU64,
@@ -147,10 +144,6 @@ pub(crate) struct WorkerCtx {
     pub tracer: Tracer,
     pub retry: RetryPolicy,
     pub hedge: HedgeConfig,
-    pub degrade: Arc<DegradeState>,
-    /// Device-model prediction for one full chunk (admission and
-    /// level-2 shedding both compare budgets against it).
-    pub predicted_chunk_cost: Duration,
     /// Fleet-wide per-class latency/SLO tracker; every winning delivery
     /// feeds its phase ledger through here.
     pub classes: Arc<ClassTracker>,
@@ -219,7 +212,7 @@ pub(crate) fn execute_chunk(ctx: &WorkerCtx, chunk: Chunk, role: ChunkRole) {
     let shard = &ctx.shard;
     let dispatch_start = Instant::now();
     let is_primary = matches!(role, ChunkRole::Primary);
-    let register_hedge = is_primary && ctx.hedge.enabled && ctx.degrade.hedging_allowed();
+    let register_hedge = is_primary && ctx.hedge.enabled;
     // This hop's wait lands in its phase: first-hop primary dispatch is
     // queueing, a retry re-queue is a transit hop, and a hedge duplicate
     // charges its whole enqueue → dispatch span (queue plus the
@@ -258,9 +251,7 @@ pub(crate) fn execute_chunk(ctx: &WorkerCtx, chunk: Chunk, role: ChunkRole) {
         let wait = p.life.clock.lap(hop, dispatch_start);
         if let Some(budget) = p.life.budget.as_mut().filter(|_| is_primary) {
             budget.debit(wait);
-            if budget.is_exhausted()
-                || (ctx.degrade.shedding() && !budget.covers(ctx.predicted_chunk_cost))
-            {
+            if budget.is_exhausted() {
                 let error = SolveError::DeadlineExceeded {
                     waited: budget.consumed(),
                     deadline: budget.total(),
@@ -287,7 +278,6 @@ pub(crate) fn execute_chunk(ctx: &WorkerCtx, chunk: Chunk, role: ChunkRole) {
             EventKind::Shed {
                 shard: shard.id,
                 size: shed,
-                level: ctx.degrade.level(),
             },
         );
     }
@@ -538,7 +528,7 @@ fn hedge_delay(ctx: &WorkerCtx, victim: &ShardShared) -> Duration {
 /// delay, claim it (one hedge per flight), and execute the duplicate.
 /// Returns true if a hedge ran.
 fn try_hedge(ctx: &WorkerCtx) -> bool {
-    if !ctx.hedge.enabled || !ctx.degrade.hedging_allowed() {
+    if !ctx.hedge.enabled {
         return false;
     }
     for peer in ctx.peers.iter() {

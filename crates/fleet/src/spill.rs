@@ -20,6 +20,8 @@ use batsolv_solvers::direct::BatchBandedLu;
 use batsolv_trace::Tracer;
 use batsolv_types::{BatchDims, Result};
 
+use crate::config::DEFAULT_CPU_WORKERS;
+
 /// Banded-LU engine on the Skylake host node, tagged with the CPU
 /// pool's shard id so its kernel reports land in their own trace lane.
 pub(crate) struct CpuLuEngine {
@@ -31,19 +33,15 @@ pub(crate) struct CpuLuEngine {
 }
 
 impl CpuLuEngine {
-    /// Build the pool's engine. `workers` overrides the node's solve
-    /// worker count (the paper's baseline uses 38).
-    pub fn new(
-        pattern: Arc<SparsityPattern>,
-        workers: usize,
-        shard: u32,
-        tracer: Tracer,
-    ) -> CpuLuEngine {
-        let mut device = DeviceSpec::skylake_node();
-        device.num_cus = workers as u32;
+    /// Build the pool's engine: [`DEFAULT_CPU_WORKERS`] solve workers on
+    /// the Skylake node.
+    pub fn new(pattern: Arc<SparsityPattern>, shard: u32, tracer: Tracer) -> CpuLuEngine {
         CpuLuEngine {
             pattern,
-            device,
+            device: DeviceSpec {
+                num_cus: DEFAULT_CPU_WORKERS as u32,
+                ..DeviceSpec::skylake_node()
+            },
             shard,
             tracer,
             seq: AtomicU64::new(0),
@@ -122,6 +120,9 @@ impl SolveEngine for CpuLuEngine {
 
 #[cfg(test)]
 mod tests {
+    use batsolv_runtime::{LadderConfig, LadderEngine};
+    use batsolv_xgc::{VelocityGrid, XgcWorkload};
+
     use super::*;
 
     fn dominant_values(pattern: &SparsityPattern) -> Vec<f64> {
@@ -140,7 +141,7 @@ mod tests {
     fn cpu_engine_solves_on_the_skylake_profile() {
         let pattern = Arc::new(SparsityPattern::stencil_2d(4, 4, false));
         let n = pattern.num_rows();
-        let engine = CpuLuEngine::new(Arc::clone(&pattern), 38, 4, Tracer::disabled());
+        let engine = CpuLuEngine::new(Arc::clone(&pattern), 4, Tracer::disabled());
         assert_eq!(engine.device.num_cus, 38);
         let items: Vec<BatchItem> = (0..3)
             .map(|i| BatchItem {
@@ -159,5 +160,38 @@ mod tests {
             assert_eq!(o.rungs.len(), 1, "the pool never escalates");
         }
         assert!(report.sim_time_s > 0.0, "host dispatch is still priced");
+    }
+
+    /// The spill's row: a sub-cutoff chunk of 7 warm-started XGC
+    /// systems, the size BENCH_fleet spills, costs the pool less
+    /// simulated time than a V100 shard's fused launch, on the bench grid
+    /// and on the paper's (8.3 vs 128.0 µs on 10×9, 466.7 vs 1,435.1 µs
+    /// on 32×31).
+    #[test]
+    fn the_pool_prices_a_spilled_chunk_below_a_gpu_shard() {
+        for grid in [VelocityGrid::small(10, 9), VelocityGrid::xgc_standard()] {
+            let workload = XgcWorkload::generate(grid, 16, 20220530).unwrap();
+            let pattern = Arc::clone(workload.pattern());
+            let items: Vec<BatchItem> = (0..7)
+                .map(|k| {
+                    let sys = workload.system(k);
+                    BatchItem {
+                        id: k as u64,
+                        values: sys.values.to_vec(),
+                        rhs: sys.rhs.to_vec(),
+                        guess: Some(sys.warm_guess.to_vec()),
+                        tolerance: None,
+                    }
+                })
+                .collect();
+            let cpu = CpuLuEngine::new(Arc::clone(&pattern), 4, Tracer::disabled());
+            let gpu = LadderEngine::new(DeviceSpec::v100(), pattern, LadderConfig::default());
+            let cpu_s = cpu.solve_batch(&items).unwrap().sim_time_s;
+            let gpu_s = gpu.solve_batch(&items).unwrap().sim_time_s;
+            assert!(
+                cpu_s < gpu_s,
+                "{grid:?}: pool {cpu_s:e} s vs V100 {gpu_s:e} s"
+            );
+        }
     }
 }

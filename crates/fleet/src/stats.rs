@@ -39,8 +39,7 @@ pub struct ShardSnapshot {
     pub hedges_fired: u64,
     /// Hedge duplicates this shard won (delivered at least one outcome).
     pub hedges_won: u64,
-    /// Systems shed at dispatch (budget spent or sub-deadline under
-    /// degradation).
+    /// Systems shed at dispatch because their budget was spent.
     pub shed: u64,
     /// Simulated device time this shard accumulated, seconds.
     pub sim_time_s: f64,
@@ -83,9 +82,6 @@ pub struct FleetSnapshot {
     pub makespan_s: f64,
     /// Sum of simulated device time across the fleet, seconds.
     pub sim_time_total_s: f64,
-    /// Graceful-degradation ladder level (0 = normal; 1 = hedges off;
-    /// 2 = + sub-deadline shedding; 3 = + widened CPU spill).
-    pub degrade_level: u8,
     /// Per-workload-class latency and SLO statistics, fed by every
     /// winning delivery's phase ledger.
     pub classes: ClassesSnapshot,
@@ -139,7 +135,7 @@ impl FleetSnapshot {
         out.push_str(&format!(
             "fleet stats: {} accepted, {} rejected, {} completed, {} failed, \
              {} steals, {} spilled systems, {} retries, {}/{} hedges won/fired, \
-             {} shed, degrade level {}\n",
+             {} shed\n",
             self.accepted,
             self.rejected,
             self.completed(),
@@ -150,7 +146,6 @@ impl FleetSnapshot {
             self.hedges_won(),
             self.hedges_fired(),
             self.shed(),
-            self.degrade_level,
         ));
         out.push_str(&format!(
             "  fleet    : wait p50 {:?} p99 {:?} | latency p50 {:?} p99 {:?} | \

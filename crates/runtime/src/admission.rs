@@ -24,9 +24,8 @@ pub enum RejectReason {
         /// Index of the first offending entry.
         index: usize,
     },
-    /// A diagonal entry is missing from the pattern, exactly zero, or
-    /// below the configured magnitude floor — the Jacobi preconditioner
-    /// would divide by it.
+    /// A diagonal entry is missing from the pattern or exactly zero —
+    /// the Jacobi preconditioner would divide by it.
     ZeroDiagonal {
         /// The offending row.
         row: usize,
@@ -52,27 +51,24 @@ impl std::fmt::Display for RejectReason {
     }
 }
 
-/// The precomputed gate: diagonal positions plus the magnitude floor.
+/// The precomputed gate: the diagonal positions of the pattern.
+///
+/// Only a zero or missing diagonal is rejected: a tiny but nonzero
+/// pivot marks an ill-conditioned system, which is the escalation
+/// ladder's job, not the gate's.
 #[derive(Clone, Debug)]
 pub struct AdmissionGate {
     /// `diag_idx[r]` is the CSR value index of `(r, r)`, if present.
     diag_idx: Vec<Option<usize>>,
-    /// Diagonal magnitudes at or below this are rejected. The default of
-    /// `0.0` rejects exactly-zero pivots while still admitting merely
-    /// ill-conditioned systems (those are the escalation ladder's job).
-    min_diag_abs: f64,
 }
 
 impl AdmissionGate {
     /// Build the gate for `pattern`.
-    pub fn new(pattern: &SparsityPattern, min_diag_abs: f64) -> AdmissionGate {
+    pub fn new(pattern: &SparsityPattern) -> AdmissionGate {
         let diag_idx = (0..pattern.num_rows())
             .map(|r| pattern.find(r, r))
             .collect();
-        AdmissionGate {
-            diag_idx,
-            min_diag_abs,
-        }
+        AdmissionGate { diag_idx }
     }
 
     /// Validate one request's payload (shapes are checked upstream).
@@ -92,7 +88,7 @@ impl AdmissionGate {
         }
         for (row, idx) in self.diag_idx.iter().enumerate() {
             let value = idx.map_or(0.0, |k| values[k]);
-            if value.abs() <= self.min_diag_abs {
+            if value == 0.0 {
                 return Err(RejectReason::ZeroDiagonal { row, value });
             }
         }
@@ -107,7 +103,7 @@ mod tests {
 
     fn gate() -> (Arc<SparsityPattern>, AdmissionGate) {
         let p = Arc::new(SparsityPattern::dense(3));
-        let g = AdmissionGate::new(&p, 0.0);
+        let g = AdmissionGate::new(&p);
         (p, g)
     }
 
@@ -169,33 +165,17 @@ mod tests {
             g.check(&v, &[1.0; 3], None),
             Err(RejectReason::ZeroDiagonal { row: 1, value: 0.0 })
         );
-        // A tiny-but-nonzero pivot passes the default gate: conditioning
+        // A tiny-but-nonzero pivot passes the gate: conditioning
         // problems belong to the escalation ladder, not the gate.
         v[4] = 1e-300;
         assert_eq!(g.check(&v, &[1.0; 3], None), Ok(()));
     }
 
     #[test]
-    fn magnitude_floor_is_configurable() {
-        let p = SparsityPattern::dense(2);
-        let g = AdmissionGate::new(&p, 1e-8);
-        let mut v = vec![0.0, 0.5, 0.5, 0.0];
-        v[0] = 1.0;
-        v[3] = 1e-9;
-        assert_eq!(
-            g.check(&v, &[1.0; 2], None),
-            Err(RejectReason::ZeroDiagonal {
-                row: 1,
-                value: 1e-9
-            })
-        );
-    }
-
-    #[test]
     fn missing_diagonal_entry_counts_as_zero() {
         // Pattern with no (1,1) entry at all.
         let p = SparsityPattern::from_coords(2, &[(0, 0), (0, 1), (1, 0)]).unwrap();
-        let g = AdmissionGate::new(&p, 0.0);
+        let g = AdmissionGate::new(&p);
         assert_eq!(
             g.check(&[1.0, 1.0, 1.0], &[1.0; 2], None),
             Err(RejectReason::ZeroDiagonal { row: 1, value: 0.0 })

@@ -58,8 +58,7 @@ impl DeadlineBudget {
         self.remaining()
     }
 
-    /// True when the remaining budget covers a predicted cost — the
-    /// admission and shedding feasibility check.
+    /// True when the remaining budget covers a predicted cost.
     pub fn covers(&self, predicted: Duration) -> bool {
         !self.is_exhausted() && predicted <= self.remaining()
     }

@@ -51,8 +51,6 @@ pub struct RuntimeConfig {
     /// Jacobi diagonal) at submission. Disable only in chaos tests that
     /// deliberately feed poisoned systems to the ladder.
     pub validate_admission: bool,
-    /// Diagonal magnitudes at or below this are rejected by the gate.
-    pub min_diag_abs: f64,
     /// Dispatch-time budget of the watchdog; batches exceeding it are
     /// counted as stalled. `None` disables the watchdog thread.
     pub watchdog_budget: Option<Duration>,
@@ -83,7 +81,6 @@ impl RuntimeConfig {
             gmres_max_iters: ladder.gmres_max_iters,
             enable_fallback: ladder.enable_fallback,
             validate_admission: true,
-            min_diag_abs: 0.0,
             watchdog_budget: Some(Duration::from_secs(30)),
             breaker: Some(BreakerConfig::default()),
             tracer: Tracer::disabled(),
@@ -151,12 +148,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Override the admission gate's diagonal-magnitude floor.
-    pub fn with_min_diag_abs(mut self, floor: f64) -> Self {
-        self.min_diag_abs = floor;
-        self
-    }
-
     /// Override (or with `None`, disable) the watchdog budget.
     pub fn with_watchdog(mut self, budget: Option<Duration>) -> Self {
         self.watchdog_budget = budget;
@@ -195,12 +186,6 @@ impl RuntimeConfig {
         }
         if self.enable_gmres && (self.gmres_restart == 0 || self.gmres_max_iters == 0) {
             return Err("gmres_restart and gmres_max_iters must be at least 1".into());
-        }
-        if self.min_diag_abs.is_nan() || self.min_diag_abs < 0.0 {
-            return Err(format!(
-                "min_diag_abs must be non-negative, got {}",
-                self.min_diag_abs
-            ));
         }
         if let Some(b) = &self.breaker {
             if b.trip_after == 0 {

@@ -137,9 +137,11 @@ impl PhaseClock {
         span
     }
 
-    /// Wall time from submission to `now`.
-    pub fn since_submitted(&self, now: Instant) -> Duration {
-        now.saturating_duration_since(self.submitted)
+    /// Wall time from submission to the mark, the last boundary booked.
+    /// Read at dispatch, before the solve is booked, it is the request's
+    /// wait: admission, queue and linger.
+    pub fn waited(&self) -> Duration {
+        self.mark.saturating_duration_since(self.submitted)
     }
 
     /// The ledger builder: the booked phases, the terminal's record and
@@ -154,7 +156,7 @@ impl PhaseClock {
             iterations: settled.iterations,
             straggler: settled.straggler,
             deadline: has_deadline.then_some(settled.outcome != "deadline_exceeded"),
-            end_to_end_us: self.since_submitted(now).as_secs_f64() * 1e6,
+            end_to_end_us: now.saturating_duration_since(self.submitted).as_secs_f64() * 1e6,
             admission_us: booked(Phase::Admission),
             queue_us: booked(Phase::Queue),
             linger_us: booked(Phase::Linger),

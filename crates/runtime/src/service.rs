@@ -153,7 +153,7 @@ impl SolveService {
         shared.stats.set_solver(config.solver.name());
         let gate = config
             .validate_admission
-            .then(|| AdmissionGate::new(&pattern, config.min_diag_abs));
+            .then(|| AdmissionGate::new(&pattern));
 
         let watchdog_stop = Arc::new(AtomicBool::new(false));
         let watchdog = config.watchdog_budget.map(|budget| {
@@ -458,7 +458,7 @@ fn dispatch(shared: &Shared, engine: &dyn SolveEngine, batch: Vec<Pending>) {
     let mut live: Vec<Pending> = Vec::with_capacity(batch.len());
     for mut p in batch {
         p.life.clock.lap(Phase::Linger, dispatched_at);
-        let waited = p.life.clock.since_submitted(dispatched_at);
+        let waited = p.life.clock.waited();
         match p.life.budget {
             Some(budget) if waited > budget.total() => {
                 let error = SolveError::DeadlineExceeded {
@@ -519,8 +519,7 @@ fn run_batch(shared: &Shared, engine: &dyn SolveEngine, live: Vec<Pending>) {
                 Error::DimensionMismatch(_) => "engine dimension mismatch",
                 _ => "engine failure",
             };
-            let now = Instant::now();
-            let waits: Vec<Duration> = lives.iter().map(|l| l.clock.since_submitted(now)).collect();
+            let waits: Vec<Duration> = lives.iter().map(|l| l.clock.waited()).collect();
             let tally = BatchOutcomes {
                 failed: batch_size as u64,
                 breakdowns: vec![msg; batch_size],
@@ -565,11 +564,12 @@ fn fail_dispatched(
 }
 
 /// Count the batch and feed the breaker, then deliver each outcome.
+/// Each request's queue wait is the one it had at dispatch: the solve
+/// is not booked yet.
 fn fulfill(shared: &Shared, lives: Vec<Lifecycle>, report: BatchReport) {
     let batch_size = lives.len();
     debug_assert_eq!(report.outcomes.len(), batch_size);
-    let now = Instant::now();
-    let waits: Vec<Duration> = lives.iter().map(|l| l.clock.since_submitted(now)).collect();
+    let waits: Vec<Duration> = lives.iter().map(|l| l.clock.waited()).collect();
     let iterations: Vec<u32> = report.outcomes.iter().map(|o| o.iterations).collect();
     let mut tally = BatchOutcomes::default();
     for o in &report.outcomes {

@@ -7,7 +7,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use batsolv_formats::SparsityPattern;
-use batsolv_gpusim::DeviceSpec;
+use batsolv_gpusim::{DeviceSpec, LaunchDisruption, LaunchHook};
 use batsolv_runtime::{
     BatchItem, BatchReport, ItemOutcome, RuntimeConfig, SolveEngine, SolveError, SolveMethod,
     SolveRequest, SolveService, SubmitError,
@@ -234,6 +234,46 @@ fn real_engine_solves_ion_workload() {
     }
     assert_eq!(stats.converged_iterative, 12);
     assert_eq!(stats.failed_not_converged, 0);
+}
+
+/// Stalls every fused launch: a solve that takes at least this long.
+struct Stall(Duration);
+
+impl LaunchHook for Stall {
+    fn disrupt(&self, _ids: &[u64]) -> LaunchDisruption {
+        LaunchDisruption::Stall(self.0)
+    }
+}
+
+#[test]
+fn queue_wait_is_taken_at_dispatch_not_after_the_solve() {
+    let stall = Duration::from_millis(50);
+    let workload =
+        XgcWorkload::generate_single_species(VelocityGrid::small(8, 7), Species::ion(), 3, 3)
+            .unwrap();
+    let config = RuntimeConfig::new(DeviceSpec::v100())
+        .with_batch_target(1)
+        .with_linger(Duration::ZERO);
+    let pattern = Arc::clone(workload.pattern());
+    let service = SolveService::start_with_hook(pattern, config, Arc::new(Stall(stall))).unwrap();
+    // One request at a time: none queues behind another's stalled solve,
+    // so each wait is admission, queue and linger only.
+    for sys in workload.systems() {
+        let request = SolveRequest::new(sys.values.to_vec(), sys.rhs.to_vec());
+        let sol = service.submit(request).unwrap().wait().unwrap();
+        assert!(
+            sol.queue_wait < stall,
+            "queue wait {:?} includes the {stall:?} solve",
+            sol.queue_wait
+        );
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.converged_iterative, 3);
+    assert!(
+        stats.queue_wait_p99 < stall,
+        "queue wait p99 {:?} includes the {stall:?} solve",
+        stats.queue_wait_p99
+    );
 }
 
 #[test]

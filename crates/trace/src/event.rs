@@ -245,24 +245,12 @@ pub enum EventKind {
         /// Systems the hedge delivered.
         size: usize,
     },
-    /// Systems dropped before execution: their deadline budget was
-    /// exhausted (or, under degradation level >= 2, could not cover the
-    /// predicted solve cost).
+    /// Systems dropped before execution: their deadline budget was exhausted.
     Shed {
         /// Shard that shed the systems at dispatch.
         shard: u32,
         /// Systems shed.
         size: usize,
-        /// Degradation-ladder level in force when they were shed.
-        level: u8,
-    },
-    /// The overload degradation ladder shifted levels (0 = normal,
-    /// 1 = hedges off, 2 = sub-deadline shedding, 3 = spill widening).
-    DegradeShift {
-        /// Level before the shift.
-        from: u8,
-        /// Level after the shift.
-        to: u8,
     },
     /// The owning request's complete latency attribution, emitted
     /// alongside its terminal outcome. The wall phases partition
@@ -312,7 +300,6 @@ impl EventKind {
             EventKind::HedgeFired { .. } => "hedge_fired",
             EventKind::HedgeWon { .. } => "hedge_won",
             EventKind::Shed { .. } => "shed",
-            EventKind::DegradeShift { .. } => "degrade_shift",
             EventKind::Ledger(..) => "ledger",
             EventKind::BreakerTrip => "breaker_trip",
             EventKind::WatchdogStall { .. } => "watchdog_stall",
@@ -583,13 +570,8 @@ impl TraceEvent {
                     ",\"winner\":{winner},\"loser\":{loser},\"size\":{size}"
                 ));
             }
-            EventKind::Shed { shard, size, level } => {
-                f.push_str(&format!(
-                    ",\"shard\":{shard},\"size\":{size},\"level\":{level}"
-                ));
-            }
-            EventKind::DegradeShift { from, to } => {
-                f.push_str(&format!(",\"from\":{from},\"to\":{to}"));
+            EventKind::Shed { shard, size } => {
+                f.push_str(&format!(",\"shard\":{shard},\"size\":{size}"));
             }
             EventKind::Ledger(ledger) => f.push_str(&ledger.json_fields()),
             EventKind::WatchdogStall { budget_us } => {
@@ -727,12 +709,7 @@ mod tests {
                 loser: 0,
                 size: 16,
             },
-            EventKind::Shed {
-                shard: 2,
-                size: 4,
-                level: 2,
-            },
-            EventKind::DegradeShift { from: 0, to: 1 },
+            EventKind::Shed { shard: 2, size: 4 },
             EventKind::Ledger(crate::ledger::PhaseLedger {
                 outcome: "converged_bicgstab",
                 class: crate::ledger::WorkloadClass::IonLike,

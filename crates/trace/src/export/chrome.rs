@@ -431,22 +431,13 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                     ));
                 }
             }
-            EventKind::Shed { shard, size, level } => {
+            EventKind::Shed { shard, size } => {
                 out.push(instant(
-                    &format!("shed: shard {shard} drops {size} systems (level {level})"),
+                    &format!("shed: shard {shard} drops {size} systems"),
                     PID_REQUESTS,
                     TID_SERVICE,
                     ts,
-                    &format!("\"shard\":{shard},\"size\":{size},\"level\":{level}"),
-                ));
-            }
-            EventKind::DegradeShift { from, to } => {
-                out.push(instant(
-                    &format!("degrade: level {from} -> {to}"),
-                    PID_REQUESTS,
-                    TID_SERVICE,
-                    ts,
-                    &format!("\"from\":{from},\"to\":{to}"),
+                    &format!("\"shard\":{shard},\"size\":{size}"),
                 ));
             }
             // Per-iteration residuals, queue plumbing, and the terminal

@@ -1,6 +1,6 @@
 //! Flight-recorder coverage for the fleet-resilience event kinds.
 //!
-//! The retry/hedge/shed/degrade events are what an operator needs when a
+//! The retry/hedge/shed events are what an operator needs when a
 //! breaker trips: the dump has to show the resilience machinery's last
 //! actions, not just solver outcomes. This test pins three properties
 //! for every one of those kinds: the ring captures it, it survives a
@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use batsolv_trace::{validate_json, EventKind, FlightRecorder, MemorySink, Tracer};
 
-/// The five kinds the fleet resilience layer emits.
+/// The four kinds the fleet resilience layer emits.
 fn resilience_events() -> Vec<(EventKind, &'static str)> {
     vec![
         (
@@ -42,15 +42,7 @@ fn resilience_events() -> Vec<(EventKind, &'static str)> {
             },
             "hedge_won",
         ),
-        (
-            EventKind::Shed {
-                shard: 2,
-                size: 4,
-                level: 2,
-            },
-            "shed",
-        ),
-        (EventKind::DegradeShift { from: 0, to: 1 }, "degrade_shift"),
+        (EventKind::Shed { shard: 2, size: 4 }, "shed"),
     ]
 }
 
