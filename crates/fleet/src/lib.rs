@@ -13,25 +13,29 @@
 //!   **spill to a CPU banded-LU pool** modeled on the paper's Skylake
 //!   baseline (below the cutoff the GPU launch cannot amortize and
 //!   dgbsv wins);
-//! * **per-shard isolation** — every shard owns its simulated device,
-//!   bounded queue, worker thread, circuit breaker, and stats, so one
-//!   faulty device sheds load without stalling its peers;
+//! * **one executor, per-shard isolation** — every shard owns its
+//!   bounded queue, worker thread and a runtime
+//!   [`Worker`](batsolv_runtime::Worker) (simulated device, circuit
+//!   breaker, stats registry), and runs every chunk through the
+//!   runtime's one batch executor, so one faulty device sheds load
+//!   without stalling its peers;
 //! * **deterministic work stealing** — an idle shard probes peers in a
 //!   seeded, fixed victim order and steals the *oldest* queued chunk;
 //!   solver numerics are device-placement-independent, so a stolen
 //!   chunk's solutions are bitwise identical to unstolen execution;
-//! * **deadline budgets** — a request's deadline becomes a
-//!   `DeadlineBudget` debited at every hop (queueing, steals, retry
-//!   backoff); admission fast-fails with `SubmitError::Infeasible` when
-//!   the device model already prices a chunk above the whole budget,
-//!   and spent budgets shed at dispatch instead of executing;
-//! * **retry with backoff and hedged dispatch** — retryable chunk
-//!   failures (device faults, worker panics) re-queue on a *different*
-//!   shard after a deterministic seeded backoff; idle shards duplicate
+//! * **deadlines** — admission fast-fails with `SubmitError::Infeasible`
+//!   when the device model already prices a chunk above a request's
+//!   whole deadline, and a request whose wall wait reached its deadline
+//!   sheds at dispatch instead of executing;
+//! * **retry with backoff, blame isolation and hedged dispatch** —
+//!   retryable chunk failures (device faults, worker panics) re-queue on
+//!   a *different* shard after a deterministic seeded backoff; one that
+//!   ends a multi-system chunk for good re-runs its members one at a
+//!   time, so only the guilty one fails; idle shards duplicate
 //!   straggling peer flights after a p99-derived delay, with shared
 //!   outcome slots keeping delivery exactly-once;
-//! * **fleet observability** — per-shard [`StatsSnapshot`-style]
-//!   snapshots roll up into a [`FleetSnapshot`] with per-shard and
+//! * **fleet observability** — per-shard snapshots, each filled from
+//!   its worker's runtime `StatsRegistry`, roll up into a [`FleetSnapshot`] with per-shard and
 //!   fleet-wide wait/latency percentiles, trace events carry the shard
 //!   id end to end (one chrome-trace device lane per shard), and the
 //!   Prometheus page labels every series by device.
@@ -70,14 +74,12 @@ pub mod service;
 mod shard;
 mod spill;
 pub mod stats;
-mod work;
 
+pub use batsolv_runtime::{HedgeConfig, RetryPolicy};
 pub use config::{
-    DeviceProfile, FleetConfig, HedgeConfig, RetryPolicy, DEFAULT_CPU_WORKERS,
-    DEFAULT_MAX_BATCH_SIZE, DEFAULT_MIN_BATCH_SIZE,
+    DeviceProfile, FleetConfig, DEFAULT_CPU_WORKERS, DEFAULT_MAX_BATCH_SIZE, DEFAULT_MIN_BATCH_SIZE,
 };
 pub use metrics::fleet_prometheus_text;
 pub use range::{victim_order, DeviceRange, Placement, Route};
-pub use service::FleetService;
+pub use service::{FleetService, GroupTicket};
 pub use stats::{FleetSnapshot, ShardSnapshot};
-pub use work::GroupTicket;

@@ -11,26 +11,26 @@
 //! orphaned members never resolve).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use batsolv_formats::SparsityPattern;
 use batsolv_gpusim::{LaunchHook, NoDisruption};
 use batsolv_runtime::{
-    BoundedQueue, CircuitBreaker, ClassTracker, ClassesSnapshot, LadderEngine, Pending, Phase,
-    PushResult, SolveEngine, SolveRequest, SubmitError,
+    BoundedQueue, Chunk, CircuitBreaker, ClassTracker, ClassesSnapshot, GroupProgress, HedgeConfig,
+    LadderEngine, Pending, Phase, PushResult, RequestId, SolveEngine, SolveError, SolveOutcome,
+    SolveRequest, StragglerRule, SubmitError, Worker,
 };
 use batsolv_trace::{EventKind, Tracer};
 use batsolv_types::Result;
 
-use crate::config::{FleetConfig, HedgeConfig};
+use crate::config::FleetConfig;
 use crate::metrics::fleet_prometheus_text;
 use crate::range::{victim_order, DeviceRange, Route};
-use crate::shard::{spawn_shard_worker, ShardShared, ShardStats, WorkerCtx};
+use crate::shard::{spawn_shard_worker, ShardCtx, ShardShared};
 use crate::spill::CpuLuEngine;
 use crate::stats::{percentile, snapshot_shard, FleetSnapshot};
-use crate::work::{Chunk, GroupProgress, GroupTicket};
 
 /// Iteration count assumed by admission-time cost prediction: the
 /// paper's Table III electron-species solves land near 40 iterations,
@@ -93,78 +93,65 @@ impl FleetService {
             PREDICT_ITERS,
         ));
 
+        // Every shard and the CPU pool is a runtime worker with the
+        // fleet's breaker, retry and hedge policies.
+        let new_shard =
+            |id: u32, device_name: &'static str, engine: Arc<dyn SolveEngine>| ShardShared {
+                device_name,
+                queue: BoundedQueue::new(cfg.queue_capacity),
+                worker: Worker {
+                    breaker: Some(CircuitBreaker::new(cfg.breaker)),
+                    retry: cfg.retry,
+                    hedge: cfg.hedge,
+                    ..Worker::new(id, engine, cfg.tracer.clone(), Arc::clone(&classes))
+                },
+            };
         let shards: Arc<Vec<Arc<ShardShared>>> = Arc::new(
             (0..cfg.devices as u32)
                 .map(|id| {
-                    Arc::new(ShardShared {
-                        id,
-                        device_name: cfg.profile.spec().name,
-                        queue: BoundedQueue::new(cfg.queue_capacity),
-                        stats: ShardStats::new(),
-                        breaker: CircuitBreaker::new(cfg.breaker),
-                        inflight: Mutex::new(None),
-                    })
+                    let engine = LadderEngine::with_hook(
+                        spec.clone(),
+                        Arc::clone(&pattern),
+                        cfg.ladder,
+                        Arc::clone(&hooks[id as usize]),
+                    )
+                    .with_tracer(cfg.tracer.clone())
+                    .with_shard(id);
+                    Arc::new(new_shard(id, spec.name, Arc::new(engine)))
                 })
                 .collect(),
         );
-        let cpu = Arc::new(ShardShared {
-            id: range.cpu_shard(),
-            device_name: batsolv_gpusim::DeviceSpec::skylake_node().name,
-            queue: BoundedQueue::new(cfg.queue_capacity),
-            stats: ShardStats::new(),
-            breaker: CircuitBreaker::new(cfg.breaker),
-            inflight: Mutex::new(None),
-        });
+        // The CPU pool is one more worker over the same executor: a
+        // banded-LU engine instead of the ladder, its wall time booked as
+        // spill, and it never steals (GPU backlogs would defeat the size
+        // cutoff that routed work away from it) and never hedges (its
+        // chunks are the small spill tail, not fused straggler
+        // candidates).
+        let cpu_engine =
+            CpuLuEngine::new(Arc::clone(&pattern), range.cpu_shard(), cfg.tracer.clone());
+        let skylake = batsolv_gpusim::DeviceSpec::skylake_node().name;
+        let mut cpu = new_shard(range.cpu_shard(), skylake, Arc::new(cpu_engine));
+        cpu.worker.exec_phase = Phase::Spill;
+        cpu.worker.hedge = HedgeConfig::disabled();
+        let cpu = Arc::new(cpu);
 
         let mut workers = Vec::with_capacity(cfg.devices + 1);
-        for (i, shard) in shards.iter().enumerate() {
-            let engine: Arc<dyn SolveEngine> = Arc::new(
-                LadderEngine::with_hook(
-                    cfg.profile.spec(),
-                    Arc::clone(&pattern),
-                    cfg.ladder,
-                    Arc::clone(&hooks[i]),
-                )
-                .with_tracer(cfg.tracer.clone())
-                .with_shard(shard.id),
-            );
+        for shard in shards.iter() {
             let victims = if cfg.steal {
-                victim_order(cfg.devices, shard.id, cfg.steal_seed)
+                victim_order(cfg.devices, shard.worker.id, cfg.steal_seed)
             } else {
                 Vec::new()
             };
-            workers.push(spawn_shard_worker(WorkerCtx {
+            workers.push(spawn_shard_worker(ShardCtx {
                 shard: Arc::clone(shard),
                 peers: Arc::clone(&shards),
-                engine,
                 victims,
-                tracer: cfg.tracer.clone(),
-                retry: cfg.retry,
-                hedge: cfg.hedge,
-                classes: Arc::clone(&classes),
-                exec_phase: Phase::Solve,
             }));
         }
-        // The CPU pool is one more worker over the same machinery: a
-        // banded-LU engine instead of the ladder, and it never steals
-        // (GPU backlogs would defeat the size cutoff that routed work
-        // away from it) and never hedges (its chunks are the small spill
-        // tail, not fused straggler candidates).
-        let cpu_engine: Arc<dyn SolveEngine> = Arc::new(CpuLuEngine::new(
-            Arc::clone(&pattern),
-            range.cpu_shard(),
-            cfg.tracer.clone(),
-        ));
-        workers.push(spawn_shard_worker(WorkerCtx {
+        workers.push(spawn_shard_worker(ShardCtx {
             shard: Arc::clone(&cpu),
             peers: Arc::clone(&shards),
-            engine: cpu_engine,
             victims: Vec::new(),
-            tracer: cfg.tracer.clone(),
-            retry: cfg.retry,
-            hedge: HedgeConfig::disabled(),
-            classes: Arc::clone(&classes),
-            exec_phase: Phase::Spill,
         }));
 
         Ok(FleetService {
@@ -202,25 +189,16 @@ impl FleetService {
     /// The first member that cannot join the fleet's batches: an empty
     /// group, an unreachable tolerance, or a vector of the wrong length.
     fn check_members(&self, requests: &[SolveRequest]) -> std::result::Result<(), SubmitError> {
-        let mismatch = |field, expected, got| SubmitError::ShapeMismatch {
-            field,
-            expected,
-            got,
-        };
         if requests.is_empty() {
-            return Err(mismatch("group", 1, 0));
+            return Err(SubmitError::ShapeMismatch {
+                field: "group",
+                expected: 1,
+                got: 0,
+            });
         }
         for r in requests {
             r.check_tolerance()?;
-            if r.values.len() != self.nnz {
-                return Err(mismatch("values", self.nnz, r.values.len()));
-            }
-            if r.rhs.len() != self.n {
-                return Err(mismatch("rhs", self.n, r.rhs.len()));
-            }
-            if let Some(g) = r.guess.as_ref().filter(|g| g.len() != self.n) {
-                return Err(mismatch("guess", self.n, g.len()));
-            }
+            r.check_shape(self.nnz, self.n)?;
         }
         Ok(())
     }
@@ -303,7 +281,7 @@ impl FleetService {
                     let mut cur = s;
                     for _ in 0..devices {
                         let shard = &self.shards[cur as usize];
-                        match shard.breaker.check(now) {
+                        match shard.worker.admits(now) {
                             Err(retry) => {
                                 open_retry =
                                     Some(open_retry.map_or(retry, |r: Duration| r.min(retry)));
@@ -348,6 +326,10 @@ impl FleetService {
         let mut pendings = Vec::with_capacity(total);
         for (k, r) in requests.into_iter().enumerate() {
             let (p, rx) = Pending::accept(base + k as u64, r, submit_started, enqueued);
+            // Before any push: a queued member may be delivered at once.
+            let n = self.n;
+            self.tracer
+                .emit(Some(p.item.id), EventKind::Submitted { n });
             ids.push(p.item.id);
             rxs.push(rx);
             pendings.push(p);
@@ -359,12 +341,8 @@ impl FleetService {
             let items = rest;
             rest = tail;
             let size = items.len();
-            let chunk = |origin| Chunk {
-                items,
-                origin,
-                attempt: 1,
-                group: Arc::clone(&group),
-            };
+            let straggler = StragglerRule::LastOfGroup(Arc::clone(&group));
+            let chunk = |origin| Chunk::new(items, origin, straggler);
             match target {
                 Route::Shard(s) => {
                     let shard = &self.shards[s as usize];
@@ -385,7 +363,7 @@ impl FleetService {
                     );
                 }
                 Route::CpuPool => {
-                    let pushed = self.cpu.queue.try_push(chunk(self.cpu.id));
+                    let pushed = self.cpu.queue.try_push(chunk(self.cpu.worker.id));
                     assert!(
                         matches!(pushed, PushResult::Ok),
                         "planned CPU chunk placement cannot fail"
@@ -471,5 +449,38 @@ impl FleetService {
             let _ = w.join();
         }
         self.snapshot()
+    }
+}
+
+/// Handle for one submitted group: redeem it for every member's
+/// terminal outcome, in submission order.
+#[derive(Debug)]
+pub struct GroupTicket {
+    pub(crate) ids: Vec<RequestId>,
+    pub(crate) rxs: Vec<mpsc::Receiver<SolveOutcome>>,
+}
+
+impl GroupTicket {
+    /// Request ids assigned to the group, in submission order.
+    pub fn ids(&self) -> &[RequestId] {
+        &self.ids
+    }
+
+    /// Systems in the group.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True for an empty group (never produced by a successful submit).
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Block until every member reaches its terminal outcome.
+    pub fn wait_all(self) -> Vec<SolveOutcome> {
+        self.rxs
+            .into_iter()
+            .map(|rx| rx.recv().unwrap_or(Err(SolveError::ServiceShutdown)))
+            .collect()
     }
 }

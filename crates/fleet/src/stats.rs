@@ -1,7 +1,7 @@
-//! Fleet observability: per-shard snapshots rolled up into a
-//! fleet-wide view with merged percentiles.
+//! Fleet observability: per-shard snapshots, each read from its
+//! worker's runtime [`StatsRegistry`](batsolv_runtime::StatsRegistry),
+//! rolled up into a fleet-wide view with merged percentiles.
 
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use batsolv_runtime::{percentile_us, ClassesSnapshot};
@@ -21,7 +21,8 @@ pub struct ShardSnapshot {
     pub queue_depth: usize,
     /// Whether the shard's circuit breaker is open right now.
     pub breaker_open: bool,
-    /// Chunks this shard's worker executed (own plus stolen).
+    /// Engine launches of this shard's worker: own and stolen chunks,
+    /// hedge duplicates, and the singletons of a blame isolation.
     pub chunks_executed: u64,
     /// Systems that reached a converged solution here.
     pub completed: u64,
@@ -43,9 +44,9 @@ pub struct ShardSnapshot {
     pub shed: u64,
     /// Simulated device time this shard accumulated, seconds.
     pub sim_time_s: f64,
-    /// Median queue wait of systems executed here.
+    /// Median wait (submission to dispatch) of systems executed here.
     pub wait_p50: Duration,
-    /// 99th-percentile queue wait of systems executed here.
+    /// 99th-percentile wait of systems executed here.
     pub wait_p99: Duration,
     /// Median submit-to-outcome latency of systems executed here.
     pub latency_p50: Duration,
@@ -185,45 +186,40 @@ pub(crate) fn percentile(sorted: &[u64], p: f64) -> Duration {
     Duration::from_micros(percentile_us(sorted, p))
 }
 
-/// Snapshot one shard, appending its raw samples to the fleet-wide
-/// merge vectors.
+/// Snapshot one shard from its worker's registry, appending its raw
+/// samples to the fleet-wide merge vectors.
 pub(crate) fn snapshot_shard(
     shared: &ShardShared,
     now: Instant,
     merged_wait_us: &mut Vec<u64>,
     merged_latency_us: &mut Vec<u64>,
 ) -> ShardSnapshot {
-    let (mut wait, mut latency) = {
-        let s = shared.stats.sampled.lock().unwrap();
-        (
-            s.wait_us.samples().to_vec(),
-            s.latency_us.samples().to_vec(),
-        )
-    };
-    merged_wait_us.extend_from_slice(&wait);
-    merged_latency_us.extend_from_slice(&latency);
-    wait.sort_unstable();
-    latency.sort_unstable();
+    let stats = &shared.worker.stats;
+    let (wait, latency) = stats.samples_us();
+    merged_wait_us.extend(wait);
+    merged_latency_us.extend(latency);
+    let s = stats.snapshot();
+    let completed = s.converged_iterative + s.converged_gmres + s.converged_fallback;
     ShardSnapshot {
-        shard: shared.id,
+        shard: shared.worker.id,
         device: shared.device_name,
         queue_depth: shared.queue.len(),
-        breaker_open: shared.breaker.is_open(now),
-        chunks_executed: shared.stats.chunks_executed.load(Ordering::Relaxed),
-        completed: shared.stats.completed.load(Ordering::Relaxed),
-        failed: shared.stats.failed.load(Ordering::Relaxed),
-        steals_in: shared.stats.steals_in.load(Ordering::Relaxed),
-        steals_out: shared.stats.steals_out.load(Ordering::Relaxed),
-        breaker_trips: shared.stats.breaker_trips.load(Ordering::Relaxed),
-        retries: shared.stats.retries.load(Ordering::Relaxed),
-        hedges_fired: shared.stats.hedges_fired.load(Ordering::Relaxed),
-        hedges_won: shared.stats.hedges_won.load(Ordering::Relaxed),
-        shed: shared.stats.shed.load(Ordering::Relaxed),
-        sim_time_s: shared.stats.sim_time_ns.load(Ordering::Relaxed) as f64 / 1e9,
-        wait_p50: percentile(&wait, 0.50),
-        wait_p99: percentile(&wait, 0.99),
-        latency_p50: percentile(&latency, 0.50),
-        latency_p99: percentile(&latency, 0.99),
+        breaker_open: shared.worker.admits(now).is_err(),
+        chunks_executed: s.batches_formed,
+        completed,
+        failed: s.completed() - completed,
+        steals_in: s.steals_in,
+        steals_out: s.steals_out,
+        breaker_trips: s.breaker_trips,
+        retries: s.retries,
+        hedges_fired: s.hedges_fired,
+        hedges_won: s.hedges_won,
+        shed: s.shed,
+        sim_time_s: s.sim_time_total_s,
+        wait_p50: s.queue_wait_p50,
+        wait_p99: s.queue_wait_p99,
+        latency_p50: s.latency_p50,
+        latency_p99: s.latency_p99,
     }
 }
 

@@ -299,3 +299,53 @@ fn breaker_trip_dumps_the_flight_recorder() {
         .iter()
         .any(|e| matches!(e.kind, EventKind::FlightDump { .. })));
 }
+
+/// Blame isolation: a launch panic that ends a multi-system chunk re-runs
+/// its members one at a time, so only the member that provokes the panic
+/// fails and every groupmate is solved.
+#[test]
+fn a_panicking_member_fails_alone_and_its_groupmates_solve() {
+    use batsolv_faults::{FaultKind, FaultPlan, FaultRates};
+    use batsolv_runtime::SolveError;
+
+    let pattern = Arc::new(SparsityPattern::stencil_2d(4, 4, false));
+    let rates = FaultRates {
+        panic: 0.25,
+        ..Default::default()
+    };
+    let plan = FaultPlan::new(21, rates);
+    // Fleet ids are minted in submission order from 0.
+    let guilty: Vec<u64> = (0..8)
+        .filter(|&id| plan.rolls(FaultKind::Panic, id))
+        .collect();
+    assert!(
+        !guilty.is_empty() && guilty.len() < 8,
+        "seed must give a mixed group (guilty: {guilty:?})"
+    );
+    // Retries stay off (the default): the failed chunk is ended for good.
+    let cfg = FleetConfig::new(1)
+        .with_min_batch_size(8)
+        .with_max_batch_size(8);
+    let hooks: Vec<Arc<dyn LaunchHook>> = vec![Arc::new(plan)];
+    let service = FleetService::start_with_hooks(Arc::clone(&pattern), cfg, hooks).unwrap();
+
+    let ticket = service.submit_group(group(&pattern, 8), None).unwrap();
+    let ids = ticket.ids().to_vec();
+    for (id, outcome) in ids.into_iter().zip(ticket.wait_all()) {
+        if guilty.contains(&id) {
+            match outcome {
+                Err(SolveError::WorkerPanic { detail }) => assert!(
+                    detail.contains(&format!("request {id}")),
+                    "panic detail must name the guilty request: {detail}"
+                ),
+                other => panic!("request {id} should panic alone, got {other:?}"),
+            }
+        } else {
+            let sol = outcome.unwrap_or_else(|e| panic!("innocent request {id} failed: {e}"));
+            assert!(sol.residual <= 1e-10);
+        }
+    }
+    let snap = service.shutdown();
+    assert_eq!(snap.failed(), guilty.len() as u64);
+    assert_eq!(snap.completed(), 8 - guilty.len() as u64);
+}

@@ -61,7 +61,7 @@ fn runtime_and_fleet_solve_and_price_a_batch_identically() {
         .map(|r| service.submit(r.clone()).unwrap())
         .collect();
     let runtime: Vec<Solution> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
-    service.shutdown();
+    let runtime_stats = service.shutdown();
 
     let fleet_sink = Arc::new(MemorySink::new());
     let cfg = FleetConfig::new(1).with_tracer(Tracer::new(fleet_sink.clone()));
@@ -74,7 +74,12 @@ fn runtime_and_fleet_solve_and_price_a_batch_identically() {
         .into_iter()
         .map(|o| o.unwrap())
         .collect();
-    fleet.shutdown();
+    let fleet_snap = fleet.shutdown();
+
+    // One registry counts both cores.
+    let shard = &fleet_snap.shards[0];
+    assert_eq!(runtime_stats.converged_iterative, shard.completed);
+    assert_eq!(runtime_stats.sim_time_total_s, shard.sim_time_s);
 
     let (runtime_ledgers, fleet_ledgers) = (ledgers(&runtime_sink), ledgers(&fleet_sink));
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

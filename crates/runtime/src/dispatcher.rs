@@ -31,7 +31,7 @@ use batsolv_types::{BatchDims, Error, Result};
 use crate::request::{RequestId, RungAttempt, SolveMethod};
 
 /// One request's payload as handed to the engine.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BatchItem {
     /// Service-assigned id, echoed back in the outcome.
     pub id: RequestId,

@@ -24,11 +24,13 @@
 //!   launch, retrying stragglers with restarted GMRES and, last, the
 //!   banded-LU direct solver (`dgbsv` baseline); every rung attempted is
 //!   recorded in the outcome ([`RungAttempt`]);
-//! * a **supervised worker** — a panic or simulated device failure during
-//!   a fused dispatch is caught, the batch is re-dispatched one system at
-//!   a time so blame lands on the request that provokes it
-//!   ([`SolveError::WorkerPanic`] / [`SolveError::DeviceFailure`]), and
-//!   healthy neighbors still get their solutions;
+//! * **one batch executor** ([`Worker::execute`]), shared with the
+//!   fleet's shards: a panic or simulated device failure during a fused
+//!   dispatch re-runs the batch one system at a time, so blame lands on
+//!   the request that provokes it ([`SolveError::WorkerPanic`] /
+//!   [`SolveError::DeviceFailure`]) and healthy neighbors still solve;
+//! * a **supervised worker thread**: a panic outside the engine call
+//!   respawns the loop, which re-runs the batch already cut;
 //! * a **watchdog** thread flagging dispatches that exceed a time budget;
 //! * a **circuit breaker** shedding load with [`SubmitError::CircuitOpen`]
 //!   after a run of degraded batches, probing recovery via half-open
@@ -40,9 +42,10 @@
 //!   shard workers: the pending record, its exactly-once
 //!   [`OutcomeSlot`], the phase clock behind every ledger, and the
 //!   terminal funnel every outcome leaves through;
-//! * a **stats registry** with a full failure taxonomy (rejects by
-//!   reason, breakdowns by kind, breaker trips, watchdog stalls, rung
-//!   histogram) read via [`SolveService::stats`].
+//! * **one stats registry per worker**, the fleet's shards included,
+//!   with a full failure taxonomy (rejects by reason, breakdowns by
+//!   kind, breaker trips, watchdog stalls, rung histogram) read via
+//!   [`SolveService::stats`].
 //!
 //! ```
 //! use std::sync::Arc;
@@ -76,7 +79,6 @@
 
 pub mod admission;
 pub mod breaker;
-pub mod budget;
 pub mod classes;
 pub mod config;
 pub mod dispatcher;
@@ -90,21 +92,19 @@ pub mod reservoir;
 pub mod service;
 pub mod stats;
 pub mod watchdog;
+pub mod worker;
 
 pub use admission::{AdmissionGate, RejectReason};
 pub use breaker::{BreakerConfig, CircuitBreaker};
-pub use budget::DeadlineBudget;
 pub use classes::{ClassStats, ClassTracker, ClassesSnapshot};
-pub use config::RuntimeConfig;
+pub use config::{HedgeConfig, RetryPolicy, RuntimeConfig};
 pub use dispatcher::{
     BatchItem, BatchReport, ItemOutcome, LadderConfig, LadderEngine, SimSplit, SolveEngine,
     SolverVariant,
 };
 pub use executor::{BatchExecutor, ExecMode, ExecReport};
 pub use former::{BatchFormer, FlushReason};
-pub use lifecycle::{
-    feed_breaker, panic_detail, settle, Lifecycle, OutcomeSlot, Pending, Phase, PhaseClock, Settled,
-};
+pub use lifecycle::{Lifecycle, OutcomeSlot, Pending, Phase, PhaseClock, Settled};
 pub use metrics::{prometheus_text, prometheus_text_with_classes, render_class_series};
 pub use queue::{BoundedQueue, PopResult, PushResult};
 pub use request::{
@@ -113,5 +113,6 @@ pub use request::{
 };
 pub use reservoir::{percentile_us, Reservoir, DEFAULT_RESERVOIR_CAPACITY};
 pub use service::SolveService;
-pub use stats::{StatsRegistry, StatsSnapshot};
+pub use stats::{StatsRegistry, StatsSnapshot, Tally};
 pub use watchdog::{spawn_watchdog, WatchState};
+pub use worker::{Chunk, GroupProgress, Inflight, Requeue, Role, StragglerRule, Worker};

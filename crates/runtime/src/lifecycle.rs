@@ -1,12 +1,13 @@
 //! The request lifecycle both serving cores share: the pending record,
-//! its phase clock and reply slot, the ledger builder, the terminal
-//! funnel, and the small helpers every dispatch epilogue needs.
+//! its phase clock, reply slot and deadline, the ledger builder, and the
+//! terminal funnel.
 //!
 //! [`SolveService`](crate::SolveService) and the fleet's shard workers
 //! differ in how they schedule work, not in what a request is: a
-//! payload, a reply slot, a wall-phase clock and an optional deadline
-//! budget. Each core books its own phases and computes its own
-//! straggler rule; what it books, this module turns into one balanced
+//! payload, a reply slot, a wall-phase clock and an optional deadline.
+//! Both run every formed batch through the one executor,
+//! [`Worker::execute`](crate::Worker::execute); what a front end and
+//! the executor book, this module turns into one balanced
 //! [`PhaseLedger`], and every terminal outcome leaves through one
 //! funnel, [`Lifecycle::deliver`].
 //!
@@ -16,15 +17,12 @@
 //! slot; every later delivery attempt is a no-op, and counters move only
 //! on the winning delivery, so accounting matches what callers observe.
 
-use std::any::Any;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use batsolv_trace::{classify, EventKind, PhaseLedger, Tracer};
 
-use crate::breaker::CircuitBreaker;
-use crate::budget::DeadlineBudget;
 use crate::classes::ClassTracker;
 use crate::dispatcher::{BatchItem, ItemOutcome, SimSplit};
 use crate::request::{RequestId, Solution, SolveError, SolveMethod, SolveOutcome, SolveRequest};
@@ -207,7 +205,11 @@ impl Settled {
 /// The one mapping from an engine outcome to its ledger record and the
 /// caller's outcome: a converged system becomes a [`Solution`], any
 /// other a [`SolveError::NotConverged`].
-pub fn settle(o: ItemOutcome, batch_size: usize, queue_wait: Duration) -> (Settled, SolveOutcome) {
+pub(crate) fn settle(
+    o: ItemOutcome,
+    batch_size: usize,
+    queue_wait: Duration,
+) -> (Settled, SolveOutcome) {
     let outcome = match (o.converged, o.method) {
         (false, _) => "not_converged",
         (true, SolveMethod::Bicgstab) => "converged_bicgstab",
@@ -250,33 +252,44 @@ pub struct Lifecycle {
     pub slot: Arc<OutcomeSlot>,
     /// Wall phases booked so far.
     pub clock: PhaseClock,
-    /// Remaining deadline budget, if the request carried a deadline.
-    pub budget: Option<DeadlineBudget>,
+    /// The request's deadline: the longest wall wait, submission to
+    /// dispatch, it accepts.
+    pub deadline: Option<Duration>,
 }
 
 impl Lifecycle {
+    /// The [`SolveError::DeadlineExceeded`] this request has earned if
+    /// its wall wait so far plus the `ahead` it is about to wait reaches
+    /// its deadline.
+    pub fn overdue(&self, ahead: Duration) -> Option<SolveError> {
+        let deadline = self.deadline?;
+        let waited = self.clock.waited() + ahead;
+        (waited >= deadline).then_some(SolveError::DeadlineExceeded { waited, deadline })
+    }
+
     /// The terminal funnel: the one way an outcome leaves either core.
     ///
     /// In order: claim the slot (a loser returns false and delivers
-    /// nothing); run `count`, the core's counters and straggler rule,
-    /// which must see winners only; feed the ledger to `classes` and emit
-    /// it; send. A caller woken by the send therefore reads counters and
-    /// class statistics that already include its outcome.
+    /// nothing); run `count` on the outcome, the executor's counters and
+    /// straggler rule, which must see winners only; feed the ledger to
+    /// `classes` and emit it; send. A caller woken by the send therefore
+    /// reads counters and class statistics that already include its
+    /// outcome.
     pub fn deliver(
         &self,
         id: RequestId,
         tracer: &Tracer,
         classes: &ClassTracker,
         outcome: SolveOutcome,
-        count: impl FnOnce() -> Settled,
+        count: impl FnOnce(&SolveOutcome) -> Settled,
     ) -> bool {
         let Some(tx) = self.slot.claim() else {
             return false;
         };
-        let settled = count();
+        let settled = count(&outcome);
         let ledger = self
             .clock
-            .ledger(&settled, self.budget.is_some(), Instant::now());
+            .ledger(&settled, self.deadline.is_some(), Instant::now());
         classes.observe_ledger(Some(id), &ledger);
         tracer.emit(Some(id), EventKind::Ledger(ledger));
         // A dropped receiver is the caller's business, not ours.
@@ -317,39 +330,11 @@ impl Pending {
             life: Lifecycle {
                 slot: Arc::new(OutcomeSlot::new(tx)),
                 clock: PhaseClock::start(submitted, enqueued),
-                budget: request.deadline.map(DeadlineBudget::new),
+                deadline: request.deadline,
             },
         };
         (pending, rx)
     }
-}
-
-/// Feed one dispatch's health to `breaker`: `degraded` of `total`
-/// systems failed or fell back to banded LU. A trip emits `BreakerTrip`
-/// and dumps the flight recorder, whose recent history is the trip's
-/// post-mortem. True iff this dispatch tripped it, so the core counts
-/// the trip.
-pub fn feed_breaker(
-    breaker: &CircuitBreaker,
-    tracer: &Tracer,
-    total: usize,
-    degraded: usize,
-) -> bool {
-    let tripped = breaker.on_batch(Instant::now(), total, degraded);
-    if tripped {
-        tracer.emit(None, EventKind::BreakerTrip);
-        let _ = tracer.dump_flight("breaker_trip");
-    }
-    tripped
-}
-
-/// Best-effort text of a caught panic's payload.
-pub fn panic_detail(payload: &(dyn Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 #[cfg(test)]
@@ -375,6 +360,36 @@ mod tests {
         assert_eq!(l.linger_us, 0.0);
         assert_eq!(l.deadline, Some(false));
         assert!(l.straggler && l.balanced_within(1e-6));
+    }
+
+    #[test]
+    fn a_deadline_is_overdue_once_the_wall_wait_reaches_it() {
+        let t0 = Instant::now();
+        let (request, ms) = (SolveRequest::new(vec![], vec![]), Duration::from_millis);
+        let (mut p, _rx) = Pending::accept(0, request.clone().with_deadline(ms(10)), t0, t0);
+        p.life.clock.lap(Phase::Queue, t0 + ms(4));
+        assert!(p.life.overdue(Duration::ZERO).is_none());
+        assert!(p.life.overdue(ms(5)).is_none(), "9 ms of 10");
+        match p.life.overdue(ms(6)) {
+            Some(SolveError::DeadlineExceeded { waited, deadline }) => {
+                assert_eq!(
+                    (waited, deadline),
+                    (ms(10), ms(10)),
+                    "exactly at the deadline"
+                );
+            }
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+        let (zero, _rx) = Pending::accept(1, request.clone().with_deadline(ms(0)), t0, t0);
+        assert!(
+            zero.life.overdue(Duration::ZERO).is_some(),
+            "overdue from birth"
+        );
+        let (none, _rx) = Pending::accept(2, request, t0, t0);
+        assert!(
+            none.life.overdue(ms(1 << 20)).is_none(),
+            "no deadline, never overdue"
+        );
     }
 
     #[test]

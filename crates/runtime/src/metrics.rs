@@ -266,32 +266,23 @@ pub fn render_class_series(m: &mut MetricsRegistry, prefix: &str, classes: &Clas
 mod tests {
     use super::*;
     use crate::classes::ClassTracker;
-    use crate::stats::StatsRegistry;
+    use crate::request::SolveMethod;
+    use crate::stats::fixtures::{broke_down, report, solved, waited};
+    use crate::stats::{StatsRegistry, Tally};
     use batsolv_trace::{
         check_prom_conformance, parse_prom_labeled, parse_prom_value, WorkloadClass,
     };
-    use std::time::Duration;
 
     #[test]
     fn page_agrees_with_the_snapshot() {
         let r = StatsRegistry::new();
-        r.on_accepted();
-        r.on_accepted();
-        r.on_rejected_full();
-        r.on_breaker_trip();
-        r.on_batch(
-            2,
-            &[Duration::from_micros(40), Duration::from_micros(60)],
-            &[7, 9],
-            crate::stats::BatchOutcomes {
-                converged_iterative: 1,
-                converged_fallback: 1,
-                breakdowns: vec!["rho"],
-                rungs_attempted: vec![1, 3],
-                ..Default::default()
-            },
-            2.5e-4,
-        );
+        r.add(Tally::Accepted, 1);
+        r.add(Tally::Accepted, 1);
+        r.add(Tally::RejectedQueueFull, 1);
+        r.add(Tally::BreakerTrip, 1);
+        r.on_launch(2, Some(&report(2.5e-4)));
+        r.on_outcome(&solved(SolveMethod::Bicgstab, 7, 1), waited(40));
+        r.on_outcome(&broke_down("rho", 9), waited(60));
         let s = r.snapshot();
         let page = prometheus_text(&s);
         assert_eq!(
@@ -374,18 +365,9 @@ mod tests {
     #[test]
     fn page_is_exposition_conformant_with_and_without_classes() {
         let r = StatsRegistry::new();
-        r.on_accepted();
-        r.on_batch(
-            1,
-            &[Duration::from_micros(10)],
-            &[5],
-            crate::stats::BatchOutcomes {
-                converged_iterative: 1,
-                rungs_attempted: vec![1],
-                ..Default::default()
-            },
-            1e-6,
-        );
+        r.add(Tally::Accepted, 1);
+        r.on_launch(1, Some(&report(1e-6)));
+        r.on_outcome(&solved(SolveMethod::Bicgstab, 5, 1), waited(10));
         let s = r.snapshot();
         check_prom_conformance(&prometheus_text(&s)).expect("classless page conforms");
 

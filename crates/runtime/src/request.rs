@@ -70,6 +70,29 @@ impl SolveRequest {
             _ => Ok(()),
         }
     }
+
+    /// The submission check both serving cores run on the shape: the
+    /// values must fill a pattern of `nnz` entries, and the right-hand
+    /// side and any guess must have `n` rows.
+    pub fn check_shape(&self, nnz: usize, n: usize) -> Result<(), SubmitError> {
+        let guess = self.guess.as_ref().map_or(n, Vec::len);
+        let fields = [
+            ("values", nnz, self.values.len()),
+            ("rhs", n, self.rhs.len()),
+            ("guess", n, guess),
+        ];
+        match fields
+            .into_iter()
+            .find(|&(_, expected, got)| expected != got)
+        {
+            Some((field, expected, got)) => Err(SubmitError::ShapeMismatch {
+                field,
+                expected,
+                got,
+            }),
+            None => Ok(()),
+        }
+    }
 }
 
 /// How a converged solution was obtained.

@@ -1,15 +1,19 @@
-//! Service counters, latency statistics, and the failure taxonomy.
+//! Worker counters, latency statistics, and the failure taxonomy.
 //!
-//! Hot-path counters are atomics; the batch-size histogram, breakdown
-//! taxonomy, and the queue-wait samples live behind a mutex touched once
-//! per *batch* (not per request), so contention stays negligible.
+//! One [`StatsRegistry`] per executing worker (the service's, each fleet
+//! shard's) counts engine runs per launch and request outcomes on each
+//! *winning* delivery only, so a losing hedge duplicate moves no outcome
+//! counter. Hot-path counters are atomics; the histograms, breakdown
+//! taxonomy and wait/latency samples sit behind one mutex.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-use crate::reservoir::Reservoir;
+use crate::dispatcher::BatchReport;
+use crate::request::{SolveError, SolveMethod, SolveOutcome};
+use crate::reservoir::{percentile_us, Reservoir};
 
 /// Number of power-of-two histogram buckets: bucket `k` counts batches
 /// of size in `[2^k, 2^(k+1))`, so bucket 0 is size 1, bucket 10 covers
@@ -23,14 +27,16 @@ pub const RUNG_BUCKETS: usize = 3;
 #[derive(Debug, Default)]
 struct Sampled {
     batch_size_hist: [u64; HIST_BUCKETS],
-    /// Queue-wait samples in microseconds, one per dispatched request.
-    /// Bounded: a fixed-capacity reservoir (Algorithm R, seeded), so a
-    /// long-running service never grows the registry without limit while
-    /// percentiles stay exact under the cap and representative above it.
+    /// Wait samples in microseconds (submission to dispatch), one per
+    /// delivered engine outcome. Bounded: a fixed-capacity reservoir
+    /// (Algorithm R, seeded), so a long-running worker never grows the
+    /// registry without limit while percentiles stay exact under the cap
+    /// and representative above it.
     wait_samples_us: Reservoir,
+    /// Submission-to-outcome latency samples, same population.
+    latency_samples_us: Reservoir,
     iterations_total: u64,
     iterations_max: u64,
-    sim_time_total_s: f64,
     /// Breakdown tag → occurrence count (terminal breakdowns only).
     breakdowns: BTreeMap<&'static str, u64>,
     /// `rung_hist[k]` counts requests whose dispatch attempted `k+1`
@@ -40,17 +46,50 @@ struct Sampled {
     solver: &'static str,
 }
 
-/// Shared counter registry written by the service, read via
-/// [`StatsRegistry::snapshot`].
+/// The events a front end or the executor counts one at a time;
+/// launches and request outcomes have their own entry points.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tally {
+    /// A request admitted to the queue.
+    Accepted,
+    /// A submission refused: queue full.
+    RejectedQueueFull,
+    /// A submission refused: wrong vector length.
+    RejectedShape,
+    /// A submission refused: unreachable tolerance.
+    RejectedTolerance,
+    /// A submission refused by the gate: non-finite payload.
+    RejectedNonfinite,
+    /// A submission refused by the gate: unusable diagonal.
+    RejectedZeroDiag,
+    /// A submission shed: circuit open.
+    RejectedCircuitOpen,
+    /// The breaker tripped open.
+    BreakerTrip,
+    /// The watchdog flagged a dispatch.
+    WatchdogStall,
+    /// The supervisor respawned a panicked worker loop.
+    WorkerRespawn,
+    /// A system shed at dispatch: its deadline had passed.
+    Shed,
+    /// A failed chunk re-queued on a peer.
+    Retry,
+    /// A hedge duplicate launched against a peer's flight.
+    HedgeFired,
+    /// A hedge duplicate that delivered at least one outcome.
+    HedgeWon,
+    /// A chunk stolen from a peer's queue.
+    StealIn,
+    /// A chunk a peer stole from this worker's queue.
+    StealOut,
+}
+
+const TALLIES: usize = Tally::StealOut as usize + 1;
+
+/// Counter registry of one worker, read via [`StatsRegistry::snapshot`].
 #[derive(Debug, Default)]
 pub struct StatsRegistry {
-    accepted: AtomicU64,
-    rejected_full: AtomicU64,
-    rejected_shape: AtomicU64,
-    rejected_tolerance: AtomicU64,
-    rejected_nonfinite: AtomicU64,
-    rejected_zero_diag: AtomicU64,
-    rejected_circuit_open: AtomicU64,
+    tallies: [AtomicU64; TALLIES],
     converged_iterative: AtomicU64,
     converged_gmres: AtomicU64,
     converged_fallback: AtomicU64,
@@ -59,12 +98,14 @@ pub struct StatsRegistry {
     failed_device: AtomicU64,
     failed_panic: AtomicU64,
     batches_formed: AtomicU64,
-    breaker_trips: AtomicU64,
-    watchdog_stalls: AtomicU64,
-    worker_respawns: AtomicU64,
+    sim_time_ns: AtomicU64,
     sim_syncs_total: AtomicU64,
     sim_reductions_total: AtomicU64,
     sampled: Mutex<Sampled>,
+}
+
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 impl StatsRegistry {
@@ -73,166 +114,155 @@ impl StatsRegistry {
         StatsRegistry::default()
     }
 
-    pub(crate) fn on_accepted(&self) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
+    fn sampled(&self) -> MutexGuard<'_, Sampled> {
+        self.sampled.lock().expect("stats lock poisoned")
     }
 
-    pub(crate) fn on_rejected_full(&self) {
-        self.rejected_full.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_rejected_shape(&self) {
-        self.rejected_shape.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_rejected_tolerance(&self) {
-        self.rejected_tolerance.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_rejected_nonfinite(&self) {
-        self.rejected_nonfinite.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_rejected_zero_diag(&self) {
-        self.rejected_zero_diag.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_rejected_circuit_open(&self) {
-        self.rejected_circuit_open.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_deadline_exceeded(&self) {
-        self.failed_deadline.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_device_failure(&self) {
-        self.failed_device.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_worker_panic_outcome(&self) {
-        self.failed_panic.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_breaker_trip(&self) {
-        self.breaker_trips.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_watchdog_stall(&self) {
-        self.watchdog_stalls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_worker_respawn(&self) {
-        self.worker_respawns.fetch_add(1, Ordering::Relaxed);
+    /// Count `n` events of kind `tally`.
+    pub fn add(&self, tally: Tally, n: u64) {
+        self.tallies[tally as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Record the configured rung-1 solver variant (once, at startup).
     pub(crate) fn set_solver(&self, name: &'static str) {
-        self.sampled.lock().unwrap().solver = name;
+        self.sampled().solver = name;
     }
 
-    /// Accumulate one dispatch's simulated synchronization counters.
-    pub(crate) fn on_sync_counts(&self, syncs: u64, reductions: u64) {
-        self.sim_syncs_total.fetch_add(syncs, Ordering::Relaxed);
-        self.sim_reductions_total
-            .fetch_add(reductions, Ordering::Relaxed);
-    }
-
-    /// Record one dispatched batch: its size, per-request queue waits,
-    /// per-request outcomes, and the simulated kernel time it cost.
-    pub(crate) fn on_batch(
-        &self,
-        batch_size: usize,
-        waits: &[Duration],
-        iterations: &[u32],
-        outcomes: BatchOutcomes,
-        sim_time_s: f64,
-    ) {
-        self.batches_formed.fetch_add(1, Ordering::Relaxed);
-        self.converged_iterative
-            .fetch_add(outcomes.converged_iterative, Ordering::Relaxed);
-        self.converged_gmres
-            .fetch_add(outcomes.converged_gmres, Ordering::Relaxed);
-        self.converged_fallback
-            .fetch_add(outcomes.converged_fallback, Ordering::Relaxed);
-        self.failed_not_converged
-            .fetch_add(outcomes.failed, Ordering::Relaxed);
-        let mut s = self.sampled.lock().unwrap();
-        let bucket = usize::try_from(batch_size.max(1).ilog2())
+    /// Record one engine run of `size` systems and, when the engine
+    /// returned one, the simulated cost of its report.
+    pub(crate) fn on_launch(&self, size: usize, report: Option<&BatchReport>) {
+        bump(&self.batches_formed);
+        if let Some(r) = report {
+            // Whole nanoseconds: atomics hold no f64.
+            let ns = (r.sim_time_s * 1e9).max(0.0) as u64;
+            self.sim_time_ns.fetch_add(ns, Ordering::Relaxed);
+            self.sim_syncs_total.fetch_add(r.syncs, Ordering::Relaxed);
+            self.sim_reductions_total
+                .fetch_add(r.reductions, Ordering::Relaxed);
+        }
+        let mut s = self.sampled();
+        let bucket = usize::try_from(size.max(1).ilog2())
             .unwrap()
             .min(HIST_BUCKETS - 1);
         s.batch_size_hist[bucket] += 1;
-        for w in waits {
-            s.wait_samples_us.push(w.as_micros() as u64);
+    }
+
+    /// Record one winning delivery by the outcome its caller receives.
+    /// `sample` is its (wait, latency) pair when an engine run produced
+    /// the outcome.
+    pub(crate) fn on_outcome(&self, outcome: &SolveOutcome, sample: Option<(Duration, Duration)>) {
+        let (iterations, rungs, breakdown) = match outcome {
+            Ok(sol) => {
+                bump(match sol.method {
+                    SolveMethod::Bicgstab => &self.converged_iterative,
+                    SolveMethod::Gmres => &self.converged_gmres,
+                    SolveMethod::BandedLuFallback => &self.converged_fallback,
+                });
+                (sol.iterations, sol.rungs.len(), None)
+            }
+            Err(SolveError::NotConverged {
+                iterations,
+                breakdown,
+                rungs,
+                ..
+            }) => {
+                bump(&self.failed_not_converged);
+                (*iterations, rungs.len(), *breakdown)
+            }
+            Err(e) => {
+                bump(match e {
+                    SolveError::DeadlineExceeded { .. } => &self.failed_deadline,
+                    SolveError::WorkerPanic { .. } => &self.failed_panic,
+                    _ => &self.failed_device,
+                });
+                return;
+            }
+        };
+        let mut s = self.sampled();
+        if let Some((wait, latency)) = sample {
+            s.wait_samples_us.push(wait.as_micros() as u64);
+            s.latency_samples_us.push(latency.as_micros() as u64);
         }
-        for &it in iterations {
-            s.iterations_total += u64::from(it);
-            s.iterations_max = s.iterations_max.max(u64::from(it));
-        }
-        s.sim_time_total_s += sim_time_s;
-        for &tag in &outcomes.breakdowns {
+        s.iterations_total += u64::from(iterations);
+        s.iterations_max = s.iterations_max.max(u64::from(iterations));
+        if let Some(tag) = breakdown {
             *s.breakdowns.entry(tag).or_insert(0) += 1;
         }
-        for &rungs in &outcomes.rungs_attempted {
-            s.rung_hist[rungs.clamp(1, RUNG_BUCKETS) - 1] += 1;
+        if rungs > 0 {
+            s.rung_hist[rungs.min(RUNG_BUCKETS) - 1] += 1;
         }
+    }
+
+    /// The raw (wait, latency) µs samples, unsorted, for merging across
+    /// workers.
+    pub fn samples_us(&self) -> (Vec<u64>, Vec<u64>) {
+        let s = self.sampled();
+        (
+            s.wait_samples_us.samples().to_vec(),
+            s.latency_samples_us.samples().to_vec(),
+        )
+    }
+
+    /// 99th-percentile submission-to-outcome latency: the fleet's hedge
+    /// delay is a multiple of it.
+    pub fn latency_p99(&self) -> Duration {
+        let mut samples = self.sampled().latency_samples_us.samples().to_vec();
+        samples.sort_unstable();
+        Duration::from_micros(percentile_us(&samples, 0.99))
     }
 
     /// Consistent point-in-time copy of every counter.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let s = self.sampled.lock().unwrap();
-        let mut waits = s.wait_samples_us.samples().to_vec();
-        waits.sort_unstable();
-        let pct = |p: f64| Duration::from_micros(crate::reservoir::percentile_us(&waits, p));
+        let s = self.sampled();
+        let sorted = |r: &Reservoir| {
+            let mut v = r.samples().to_vec();
+            v.sort_unstable();
+            v
+        };
+        let (waits, latencies) = (sorted(&s.wait_samples_us), sorted(&s.latency_samples_us));
+        let pct = |v: &[u64], p: f64| Duration::from_micros(percentile_us(v, p));
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let tally = |t: Tally| load(&self.tallies[t as usize]);
         StatsSnapshot {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected_queue_full: self.rejected_full.load(Ordering::Relaxed),
-            rejected_shape: self.rejected_shape.load(Ordering::Relaxed),
-            rejected_tolerance: self.rejected_tolerance.load(Ordering::Relaxed),
-            rejected_nonfinite: self.rejected_nonfinite.load(Ordering::Relaxed),
-            rejected_zero_diag: self.rejected_zero_diag.load(Ordering::Relaxed),
-            rejected_circuit_open: self.rejected_circuit_open.load(Ordering::Relaxed),
-            converged_iterative: self.converged_iterative.load(Ordering::Relaxed),
-            converged_gmres: self.converged_gmres.load(Ordering::Relaxed),
-            converged_fallback: self.converged_fallback.load(Ordering::Relaxed),
-            failed_not_converged: self.failed_not_converged.load(Ordering::Relaxed),
-            failed_deadline: self.failed_deadline.load(Ordering::Relaxed),
-            failed_device: self.failed_device.load(Ordering::Relaxed),
-            failed_panic: self.failed_panic.load(Ordering::Relaxed),
-            batches_formed: self.batches_formed.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            watchdog_stalls: self.watchdog_stalls.load(Ordering::Relaxed),
-            worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
+            accepted: tally(Tally::Accepted),
+            rejected_queue_full: tally(Tally::RejectedQueueFull),
+            rejected_shape: tally(Tally::RejectedShape),
+            rejected_tolerance: tally(Tally::RejectedTolerance),
+            rejected_nonfinite: tally(Tally::RejectedNonfinite),
+            rejected_zero_diag: tally(Tally::RejectedZeroDiag),
+            rejected_circuit_open: tally(Tally::RejectedCircuitOpen),
+            converged_iterative: load(&self.converged_iterative),
+            converged_gmres: load(&self.converged_gmres),
+            converged_fallback: load(&self.converged_fallback),
+            failed_not_converged: load(&self.failed_not_converged),
+            failed_deadline: load(&self.failed_deadline),
+            failed_device: load(&self.failed_device),
+            failed_panic: load(&self.failed_panic),
+            batches_formed: load(&self.batches_formed),
+            breaker_trips: tally(Tally::BreakerTrip),
+            watchdog_stalls: tally(Tally::WatchdogStall),
+            worker_respawns: tally(Tally::WorkerRespawn),
             batch_size_hist: s.batch_size_hist,
             rung_hist: s.rung_hist,
             breakdowns: s.breakdowns.clone(),
-            queue_wait_p50: pct(0.50),
-            queue_wait_p99: pct(0.99),
+            queue_wait_p50: pct(&waits, 0.50),
+            queue_wait_p99: pct(&waits, 0.99),
+            latency_p50: pct(&latencies, 0.50),
+            latency_p99: pct(&latencies, 0.99),
             solver_iterations_total: s.iterations_total,
             solver_iterations_max: s.iterations_max,
-            sim_time_total_s: s.sim_time_total_s,
-            sim_syncs_total: self.sim_syncs_total.load(Ordering::Relaxed),
-            sim_reductions_total: self.sim_reductions_total.load(Ordering::Relaxed),
+            sim_time_total_s: load(&self.sim_time_ns) as f64 / 1e9,
+            sim_syncs_total: load(&self.sim_syncs_total),
+            sim_reductions_total: load(&self.sim_reductions_total),
+            shed: tally(Tally::Shed),
+            retries: tally(Tally::Retry),
+            hedges_fired: tally(Tally::HedgeFired),
+            hedges_won: tally(Tally::HedgeWon),
+            steals_in: tally(Tally::StealIn),
+            steals_out: tally(Tally::StealOut),
             solver: s.solver,
         }
     }
-}
-
-/// Per-batch outcome tallies handed to [`StatsRegistry::on_batch`].
-#[derive(Clone, Debug, Default)]
-pub(crate) struct BatchOutcomes {
-    /// Requests converged by BiCGSTAB (rung 1).
-    pub converged_iterative: u64,
-    /// Requests converged by GMRES (rung 2).
-    pub converged_gmres: u64,
-    /// Requests converged by the banded-LU fallback (rung 3).
-    pub converged_fallback: u64,
-    /// Requests that failed to converge.
-    pub failed: u64,
-    /// Terminal breakdown tags across the batch (one per request that
-    /// ended with a breakdown).
-    pub breakdowns: Vec<&'static str>,
-    /// Ladder rungs attempted per dispatched request.
-    pub rungs_attempted: Vec<usize>,
 }
 
 /// Point-in-time copy of the service counters.
@@ -266,7 +296,8 @@ pub struct StatsSnapshot {
     pub failed_device: u64,
     /// Requests failed by a worker panic attributed to them.
     pub failed_panic: u64,
-    /// Fused batches dispatched.
+    /// Engine launches: every fused batch dispatched, a failed one and
+    /// each singleton of its blame isolation included.
     pub batches_formed: u64,
     /// Circuit-breaker trips (closed/half-open → open transitions).
     pub breaker_trips: u64,
@@ -282,10 +313,15 @@ pub struct StatsSnapshot {
     pub rung_hist: [u64; RUNG_BUCKETS],
     /// Terminal breakdown tag → occurrence count.
     pub breakdowns: BTreeMap<&'static str, u64>,
-    /// Median queue wait across dispatched requests.
+    /// Median wait (submission to dispatch) across delivered engine
+    /// outcomes.
     pub queue_wait_p50: Duration,
-    /// 99th-percentile queue wait across dispatched requests.
+    /// 99th-percentile wait across delivered engine outcomes.
     pub queue_wait_p99: Duration,
+    /// Median submission-to-outcome latency across dispatched requests.
+    pub latency_p50: Duration,
+    /// 99th-percentile submission-to-outcome latency.
+    pub latency_p99: Duration,
     /// Total iterative-solver iterations spent.
     pub solver_iterations_total: u64,
     /// Worst single-system iteration count.
@@ -297,6 +333,20 @@ pub struct StatsSnapshot {
     /// Total simulated reduction trees (exposed + hidden) across
     /// dispatched batches.
     pub sim_reductions_total: u64,
+    /// Requests shed at dispatch because their deadline budget was
+    /// spent (also counted in `failed_deadline`).
+    pub shed: u64,
+    /// Chunks re-queued on a peer after a retryable failure (fleet
+    /// workers only).
+    pub retries: u64,
+    /// Hedge duplicates launched against a peer's flight (fleet only).
+    pub hedges_fired: u64,
+    /// Hedge duplicates that delivered at least one outcome (fleet only).
+    pub hedges_won: u64,
+    /// Chunks stolen from a peer's queue (fleet only).
+    pub steals_in: u64,
+    /// Chunks peers stole from this worker's queue (fleet only).
+    pub steals_out: u64,
     /// Configured rung-1 solver variant ("" until the service sets it).
     pub solver: &'static str,
 }
@@ -425,28 +475,90 @@ impl StatsSnapshot {
     }
 }
 
+/// Outcome and report builders for the registry's unit tests.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use super::*;
+    use crate::dispatcher::SimSplit;
+    use crate::request::{RungAttempt, Solution};
+
+    fn rungs(
+        method: SolveMethod,
+        count: usize,
+        breakdown: Option<&'static str>,
+    ) -> Vec<RungAttempt> {
+        let rung = RungAttempt {
+            method,
+            iterations: 1,
+            residual: 0.0,
+            converged: breakdown.is_none(),
+            breakdown,
+        };
+        vec![rung; count]
+    }
+
+    /// A converged outcome after `iterations` on `count` ladder rungs.
+    pub(crate) fn solved(method: SolveMethod, iterations: u32, count: usize) -> SolveOutcome {
+        Ok(Solution {
+            x: Vec::new(),
+            iterations,
+            residual: 0.0,
+            method,
+            batch_size: 1,
+            queue_wait: Duration::ZERO,
+            rungs: rungs(method, count, None),
+        })
+    }
+
+    /// An outcome that ended all three rungs with `breakdown`.
+    pub(crate) fn broke_down(breakdown: &'static str, iterations: u32) -> SolveOutcome {
+        let method = SolveMethod::BandedLuFallback;
+        Err(SolveError::NotConverged {
+            iterations,
+            residual: f64::NAN,
+            breakdown: Some(breakdown),
+            rungs: rungs(method, RUNG_BUCKETS, Some(breakdown)),
+        })
+    }
+
+    /// A (wait, latency) sample of `us` µs of wait.
+    pub(crate) fn waited(us: u64) -> Option<(Duration, Duration)> {
+        Some((Duration::from_micros(us), Duration::from_micros(2 * us)))
+    }
+
+    pub(crate) fn report(sim_time_s: f64) -> BatchReport {
+        BatchReport {
+            outcomes: Vec::new(),
+            sim_time_s,
+            syncs: 5,
+            reductions: 3,
+            solver: "bicgstab",
+            split: SimSplit::default(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::fixtures::*;
     use super::*;
 
     #[test]
     fn counters_accumulate() {
         let r = StatsRegistry::new();
-        r.on_accepted();
-        r.on_accepted();
-        r.on_rejected_full();
-        r.on_deadline_exceeded();
-        r.on_batch(
-            2,
-            &[Duration::from_micros(100), Duration::from_micros(300)],
-            &[10, 20],
-            BatchOutcomes {
-                converged_iterative: 2,
-                rungs_attempted: vec![1, 1],
-                ..Default::default()
-            },
-            1.5e-4,
+        r.add(Tally::Accepted, 1);
+        r.add(Tally::Accepted, 1);
+        r.add(Tally::RejectedQueueFull, 1);
+        r.on_outcome(
+            &Err(SolveError::DeadlineExceeded {
+                waited: Duration::from_millis(2),
+                deadline: Duration::from_millis(1),
+            }),
+            None,
         );
+        r.on_launch(2, Some(&report(1.5e-4)));
+        r.on_outcome(&solved(SolveMethod::Bicgstab, 10, 1), waited(100));
+        r.on_outcome(&solved(SolveMethod::Bicgstab, 20, 1), waited(300));
         let s = r.snapshot();
         assert_eq!(s.accepted, 2);
         assert_eq!(s.rejected_queue_full, 1);
@@ -458,28 +570,23 @@ mod tests {
         assert_eq!(s.batch_size_hist[1], 1); // size 2 → bucket 1
         assert_eq!(s.rung_hist, [2, 0, 0]);
         assert!((s.sim_time_total_s - 1.5e-4).abs() < 1e-12);
+        assert_eq!((s.sim_syncs_total, s.sim_reductions_total), (5, 3));
+        assert_eq!(s.latency_p99, Duration::from_micros(600));
         assert_eq!(s.completed(), 3);
     }
 
     #[test]
     fn percentiles_from_samples() {
         let r = StatsRegistry::new();
-        let waits: Vec<Duration> = (1..=100).map(Duration::from_micros).collect();
-        let iters = vec![1u32; 100];
-        r.on_batch(
-            100,
-            &waits,
-            &iters,
-            BatchOutcomes {
-                converged_iterative: 100,
-                ..Default::default()
-            },
-            0.0,
-        );
+        r.on_launch(100, None);
+        for us in 1..=100 {
+            r.on_outcome(&solved(SolveMethod::Bicgstab, 1, 1), waited(us));
+        }
         let s = r.snapshot();
         // Index round((100-1)*0.5) = 50 → the 51 µs sample.
         assert_eq!(s.queue_wait_p50, Duration::from_micros(51));
         assert_eq!(s.queue_wait_p99, Duration::from_micros(99));
+        assert_eq!(s.latency_p50, Duration::from_micros(102));
         assert_eq!(s.batch_size_hist[6], 1); // size 100 → bucket 6 (64-127)
     }
 
@@ -496,18 +603,9 @@ mod tests {
     #[test]
     fn render_mentions_every_section() {
         let r = StatsRegistry::new();
-        r.on_batch(
-            1,
-            &[Duration::from_micros(5)],
-            &[3],
-            BatchOutcomes {
-                converged_fallback: 1,
-                breakdowns: vec!["divergence"],
-                rungs_attempted: vec![3],
-                ..Default::default()
-            },
-            1e-6,
-        );
+        r.on_launch(2, Some(&report(1e-6)));
+        r.on_outcome(&solved(SolveMethod::BandedLuFallback, 3, 3), waited(5));
+        r.on_outcome(&broke_down("divergence", 0), waited(5));
         let text = r.snapshot().render();
         assert!(text.contains("batch-size histogram"));
         assert!(text.contains("LU fallback"));
@@ -520,42 +618,48 @@ mod tests {
     #[test]
     fn failure_taxonomy_counters() {
         let r = StatsRegistry::new();
-        r.on_rejected_nonfinite();
-        r.on_rejected_nonfinite();
-        r.on_rejected_zero_diag();
-        r.on_rejected_circuit_open();
-        r.on_device_failure();
-        r.on_worker_panic_outcome();
-        r.on_breaker_trip();
-        r.on_watchdog_stall();
-        r.on_worker_respawn();
+        r.add(Tally::RejectedNonfinite, 2);
+        r.add(Tally::Shed, 2);
+        r.add(Tally::StealOut, 2);
+        for tally in [
+            Tally::RejectedZeroDiag,
+            Tally::RejectedCircuitOpen,
+            Tally::BreakerTrip,
+            Tally::WatchdogStall,
+            Tally::WorkerRespawn,
+            Tally::Retry,
+            Tally::HedgeFired,
+            Tally::HedgeWon,
+            Tally::StealIn,
+        ] {
+            r.add(tally, 1);
+        }
+        r.on_outcome(&Err(SolveError::DeviceFailure { code: "lost" }), None);
+        let detail = "boom".to_string();
+        r.on_outcome(&Err(SolveError::WorkerPanic { detail }), None);
         let s = r.snapshot();
-        assert_eq!(s.rejected_nonfinite, 2);
-        assert_eq!(s.rejected_zero_diag, 1);
+        assert_eq!((s.rejected_nonfinite, s.rejected_zero_diag), (2, 1));
         assert_eq!(s.rejected_circuit_open, 1);
-        assert_eq!(s.failed_device, 1);
-        assert_eq!(s.failed_panic, 1);
-        assert_eq!(s.breaker_trips, 1);
-        assert_eq!(s.watchdog_stalls, 1);
-        assert_eq!(s.worker_respawns, 1);
+        assert_eq!((s.failed_device, s.failed_panic), (1, 1));
+        assert_eq!(
+            (s.breaker_trips, s.watchdog_stalls, s.worker_respawns),
+            (1, 1, 1)
+        );
+        assert_eq!(
+            (s.shed, s.retries, s.hedges_fired, s.hedges_won),
+            (2, 1, 1, 1)
+        );
+        assert_eq!((s.steals_in, s.steals_out), (1, 2));
         assert_eq!(s.rejected_total(), 4);
         assert_eq!(s.completed(), 2, "device + panic count as terminal");
+        assert_eq!(s.rung_hist, [0; RUNG_BUCKETS], "no engine ran them");
     }
 
     #[test]
     fn single_sample_is_every_percentile() {
         let r = StatsRegistry::new();
-        r.on_batch(
-            1,
-            &[Duration::from_micros(777)],
-            &[1],
-            BatchOutcomes {
-                converged_iterative: 1,
-                rungs_attempted: vec![1],
-                ..Default::default()
-            },
-            0.0,
-        );
+        r.on_launch(1, None);
+        r.on_outcome(&solved(SolveMethod::Bicgstab, 1, 1), waited(777));
         let s = r.snapshot();
         assert_eq!(s.queue_wait_p50, Duration::from_micros(777));
         assert_eq!(s.queue_wait_p99, Duration::from_micros(777));
@@ -575,7 +679,7 @@ mod tests {
             (1 << 11, 11),
         ] {
             let r = StatsRegistry::new();
-            r.on_batch(size, &[], &[], BatchOutcomes::default(), 0.0);
+            r.on_launch(size, None);
             let s = r.snapshot();
             assert_eq!(
                 s.batch_size_hist[bucket], 1,
@@ -585,7 +689,7 @@ mod tests {
         }
         // Oversized batches clamp into the last bucket.
         let r = StatsRegistry::new();
-        r.on_batch(1 << 13, &[], &[], BatchOutcomes::default(), 0.0);
+        r.on_launch(1 << 13, None);
         assert_eq!(r.snapshot().batch_size_hist[HIST_BUCKETS - 1], 1);
     }
 
@@ -595,9 +699,9 @@ mod tests {
         // round((n−1)·p) index formula.
         for n in [1u64, 2, 4, 8, 16, 3, 7, 15] {
             let r = StatsRegistry::new();
-            let waits: Vec<Duration> = (1..=n).map(Duration::from_micros).collect();
-            let iters = vec![1u32; n as usize];
-            r.on_batch(n as usize, &waits, &iters, BatchOutcomes::default(), 0.0);
+            for us in 1..=n {
+                r.on_outcome(&solved(SolveMethod::Bicgstab, 1, 1), waited(us));
+            }
             let s = r.snapshot();
             let idx = ((n - 1) as f64 * 0.5).round() as u64;
             assert_eq!(
@@ -614,22 +718,17 @@ mod tests {
         use crate::reservoir::DEFAULT_RESERVOIR_CAPACITY;
         let r = StatsRegistry::new();
         // Feed far more samples than the reservoir holds, all 500 µs.
-        let waits = vec![Duration::from_micros(500); 4096];
-        let iters = vec![1u32; 4096];
-        for _ in 0..8 {
-            r.on_batch(4096, &waits, &iters, BatchOutcomes::default(), 0.0);
+        for _ in 0..8 * 4096 {
+            r.on_outcome(&solved(SolveMethod::Bicgstab, 1, 1), waited(500));
         }
         let s = r.snapshot();
         // 32k offered, at most DEFAULT_RESERVOIR_CAPACITY retained — and
         // a uniform subsample of a constant stream has exact percentiles.
         assert_eq!(s.queue_wait_p50, Duration::from_micros(500));
         assert_eq!(s.queue_wait_p99, Duration::from_micros(500));
-        let retained = {
-            let sampled = r.sampled.lock().unwrap();
-            sampled.wait_samples_us.len()
-        };
-        assert!(retained <= DEFAULT_RESERVOIR_CAPACITY);
-        assert_eq!(retained, DEFAULT_RESERVOIR_CAPACITY);
+        let (waits, latencies) = r.samples_us();
+        assert_eq!(waits.len(), DEFAULT_RESERVOIR_CAPACITY);
+        assert_eq!(latencies.len(), DEFAULT_RESERVOIR_CAPACITY);
     }
 
     #[test]
@@ -637,11 +736,11 @@ mod tests {
         // 90% fast (100 µs), 10% slow (10 ms): after heavy subsampling
         // p50 must stay fast and p99 must stay slow.
         let r = StatsRegistry::new();
-        let mut waits = vec![Duration::from_micros(100); 900];
-        waits.extend(vec![Duration::from_micros(10_000); 100]);
-        let iters = vec![1u32; 1000];
         for _ in 0..40 {
-            r.on_batch(1000, &waits, &iters, BatchOutcomes::default(), 0.0);
+            for k in 0..1000 {
+                let us = if k < 900 { 100 } else { 10_000 };
+                r.on_outcome(&solved(SolveMethod::Bicgstab, 1, 1), waited(us));
+            }
         }
         let s = r.snapshot();
         assert_eq!(s.queue_wait_p50, Duration::from_micros(100));
@@ -651,23 +750,13 @@ mod tests {
     #[test]
     fn breakdowns_aggregate_by_tag() {
         let r = StatsRegistry::new();
-        for tags in [vec!["rho", "singular"], vec!["rho"]] {
-            r.on_batch(
-                2,
-                &[],
-                &[],
-                BatchOutcomes {
-                    failed: tags.len() as u64,
-                    breakdowns: tags,
-                    rungs_attempted: vec![3, 3],
-                    ..Default::default()
-                },
-                0.0,
-            );
+        for tag in ["rho", "singular", "rho"] {
+            r.on_outcome(&broke_down(tag, 0), None);
         }
         let s = r.snapshot();
+        assert_eq!(s.failed_not_converged, 3);
         assert_eq!(s.breakdowns.get("rho"), Some(&2));
         assert_eq!(s.breakdowns.get("singular"), Some(&1));
-        assert_eq!(s.rung_hist, [0, 0, 4]);
+        assert_eq!(s.rung_hist, [0, 0, 3]);
     }
 }

@@ -9,6 +9,7 @@
 //! are faulty and check the service's failure taxonomy against the
 //! prediction.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
 use std::time::Duration;
 
@@ -626,4 +627,47 @@ fn watchdog_stall_dumps_flight_recorder_with_guilty_trace() {
         .snapshot()
         .iter()
         .any(|e| matches!(e.kind, EventKind::FlightDump { .. })));
+}
+
+/// A trace sink that panics on the first `batch_formed`: the worker loop
+/// crashes after the former cut a batch, outside any engine call.
+struct PanicOnFirstBatch(AtomicBool);
+
+impl batsolv_trace::TraceSink for PanicOnFirstBatch {
+    fn emit(&self, event: &batsolv_trace::TraceEvent) {
+        let formed = matches!(event.kind, batsolv_trace::EventKind::BatchFormed { .. });
+        if formed && !self.0.swap(true, Ordering::SeqCst) {
+            panic!("trace sink failed on batch_formed");
+        }
+    }
+}
+
+/// The batch the former already cut survives a worker panic: the
+/// respawned loop runs every member whose reply slot is unclaimed.
+#[test]
+fn a_batch_cut_before_a_worker_panic_runs_after_the_respawn() {
+    quiet_worker_panics();
+    let pattern = tridiag_pattern(24);
+    let sink = Arc::new(PanicOnFirstBatch(AtomicBool::new(false)));
+    let config = base_config(4)
+        .with_linger(Duration::from_secs(3600))
+        .with_tracer(batsolv_trace::Tracer::new(sink));
+    let service = SolveService::start(Arc::clone(&pattern), config).unwrap();
+    let tickets: Vec<_> = (0..4)
+        .map(|i| {
+            let (values, rhs) = clean_system(&pattern, i);
+            service.submit(SolveRequest::new(values, rhs)).unwrap()
+        })
+        .collect();
+    for (i, t) in tickets.into_iter().enumerate() {
+        let outcome = t
+            .wait_timeout(OUTCOME_TIMEOUT)
+            .expect("a cut request resolves");
+        let sol = outcome.unwrap_or_else(|e| panic!("request {i} lost to the panic: {e}"));
+        assert!(sol.residual <= 1e-10);
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.worker_respawns, 1);
+    assert_eq!(stats.accepted, 4);
+    assert_eq!(stats.completed(), stats.accepted);
 }

@@ -13,7 +13,9 @@ use std::time::Duration;
 use batsolv_formats::SparsityPattern;
 use batsolv_gpusim::DeviceSpec;
 use batsolv_runtime::{prometheus_text, RuntimeConfig, SolveRequest, SolveService};
-use batsolv_trace::{parse_prom_value, EventKind, MemorySink, TraceEvent, Tracer};
+use batsolv_trace::{
+    parse_prom_value, EventKind, LedgerAggregator, MemorySink, TraceEvent, TraceSink, Tracer,
+};
 
 fn tridiag_pattern(n: usize) -> Arc<SparsityPattern> {
     let mut coords = Vec::new();
@@ -223,4 +225,42 @@ fn untraced_service_emits_nothing_and_still_solves() {
     let t = service.submit(SolveRequest::new(values, rhs)).unwrap();
     assert!(t.wait().is_ok());
     assert_eq!(service.shutdown().accepted, 1);
+}
+
+/// Sleeps before recording each `submitted` event: a worker that could
+/// deliver before `submit` emits it would record its ledger first.
+struct SlowSubmitted(Arc<MemorySink>);
+
+impl TraceSink for SlowSubmitted {
+    fn emit(&self, event: &TraceEvent) {
+        if matches!(event.kind, EventKind::Submitted { .. }) {
+            std::thread::sleep(Duration::from_millis(30));
+        }
+        self.0.emit(event);
+    }
+}
+
+#[test]
+fn submitted_is_recorded_before_the_ledger_that_closes_it() {
+    let pattern = tridiag_pattern(24);
+    let sink = Arc::new(MemorySink::new());
+    let config = RuntimeConfig::new(DeviceSpec::v100())
+        .with_batch_target(1)
+        .with_linger(Duration::ZERO)
+        .with_tracer(Tracer::new(Arc::new(SlowSubmitted(sink.clone()))));
+    let service = SolveService::start(Arc::clone(&pattern), config).unwrap();
+    let (values, rhs) = clean_system(&pattern, 0);
+    let ticket = service.submit(SolveRequest::new(values, rhs)).unwrap();
+    ticket.wait().unwrap();
+    service.shutdown();
+
+    let events = sink.snapshot();
+    let at = |is: fn(&EventKind) -> bool| events.iter().position(|e| is(&e.kind)).unwrap();
+    let submitted = at(|k| matches!(k, EventKind::Submitted { .. }));
+    let ledger = at(|k| matches!(k, EventKind::Ledger(_)));
+    assert!(
+        submitted < ledger,
+        "submitted at {submitted}, ledger at {ledger}"
+    );
+    assert_eq!(LedgerAggregator::build(&events).open_count(), 0);
 }

@@ -353,6 +353,11 @@ impl LedgerAggregator {
                     },
                 );
             }
+            // A push refused after `Submitted` (queue full, shutting
+            // down) closes the request: it never reaches a terminal.
+            EventKind::Rejected { .. } => {
+                self.open.remove(&id);
+            }
             EventKind::Dequeued { wait_us } => {
                 if let Some(open) = self.open.get_mut(&id) {
                     open.wait_us = Some(*wait_us);
@@ -414,7 +419,7 @@ impl LedgerAggregator {
         &self.finished
     }
 
-    /// Requests submitted but not yet terminal.
+    /// Requests submitted but neither terminal nor refused yet.
     pub fn open_count(&self) -> usize {
         self.open.len()
     }
@@ -669,6 +674,27 @@ mod tests {
         assert_eq!(agg.open_count(), 0);
         assert_eq!(agg.ledgers()[0].0, 7);
         assert_eq!(agg.ledgers()[0].1.class, WorkloadClass::IonLike);
+    }
+
+    #[test]
+    fn a_refused_push_closes_its_request() {
+        let (submitted, refused) = (
+            EventKind::Submitted { n: 16 },
+            EventKind::Rejected {
+                reason: "queue_full",
+            },
+        );
+        let events: Vec<TraceEvent> = [(4, submitted.clone()), (5, submitted), (4, refused)]
+            .into_iter()
+            .map(|(id, kind)| TraceEvent {
+                t_us: 0,
+                trace_id: Some(id),
+                kind,
+            })
+            .collect();
+        let agg = LedgerAggregator::build(&events);
+        assert_eq!(agg.open_count(), 1, "only the accepted request stays open");
+        assert!(agg.ledgers().is_empty(), "a refused request has no ledger");
     }
 
     #[test]
