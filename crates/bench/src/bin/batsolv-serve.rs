@@ -42,7 +42,7 @@
 //! straggling peer flights (first terminal outcome wins).
 //!
 //! ```text
-//! batsolv-serve [--pairs 100] [--threads 4] [--target 100] [--linger-us 2000]
+//! batsolv-serve [--pairs 100] [--threads 4] [--target 100] [--linger-us 0]
 //!               [--rate 20000] [--queue 1024] [--quick] [--compare]
 //!               [--solver bicgstab|pipelined-bicgstab]
 //!               [--trace-out trace.jsonl] [--profile-out profile.json]
@@ -87,7 +87,8 @@ struct Args {
     pairs: usize,
     threads: usize,
     target: usize,
-    linger_us: u64,
+    /// `RuntimeConfig`'s default (work-conserving) unless `--linger-us`.
+    linger: Duration,
     rate: f64,
     queue: usize,
     quick: bool,
@@ -120,7 +121,7 @@ impl Args {
             pairs: 100,
             threads: 4,
             target: 100,
-            linger_us: 2000,
+            linger: RuntimeConfig::new(DeviceSpec::v100()).linger,
             rate: 20_000.0,
             queue: 1024,
             quick: false,
@@ -152,7 +153,9 @@ impl Args {
                 "--threads" => out.threads = next_usize(&mut args, "--threads"),
                 "--target" => out.target = next_usize(&mut args, "--target"),
                 "--queue" => out.queue = next_usize(&mut args, "--queue"),
-                "--linger-us" => out.linger_us = next_usize(&mut args, "--linger-us") as u64,
+                "--linger-us" => {
+                    out.linger = Duration::from_micros(next_usize(&mut args, "--linger-us") as u64)
+                }
                 "--rate" => {
                     out.rate = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
                         eprintln!("--rate needs a number (requests/sec across all threads)");
@@ -252,7 +255,7 @@ fn drive(
 ) -> (StatsSnapshot, usize, usize, usize, Duration) {
     let config = RuntimeConfig::new(DeviceSpec::v100())
         .with_batch_target(target)
-        .with_linger(Duration::from_micros(args.linger_us))
+        .with_linger(args.linger)
         .with_queue_capacity(args.queue)
         .with_solver(args.solver)
         .with_tracer(tracer);
@@ -610,7 +613,8 @@ fn main() {
         drive(&workload, &args, args.target, tracer.clone());
     println!(
         "\n--- batch target {} (linger {} us) ---",
-        args.target, args.linger_us
+        args.target,
+        args.linger.as_micros()
     );
     println!(
         "wall {:.2}s: {converged} converged, {failed} failed, {rejected} rejected at submission",

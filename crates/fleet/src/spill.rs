@@ -11,14 +11,15 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use batsolv_formats::{BatchBanded, BatchCsr, BatchVectors, SparsityPattern};
+use batsolv_formats::{BatchBanded, BatchVectors, SparsityPattern};
 use batsolv_gpusim::{kernel_launch_event, DeviceSpec};
+use batsolv_runtime::dispatcher::{csr_batch, stack_rhs};
 use batsolv_runtime::{
     BatchItem, BatchReport, ItemOutcome, RungAttempt, SimSplit, SolveEngine, SolveMethod,
 };
 use batsolv_solvers::direct::BatchBandedLu;
 use batsolv_trace::Tracer;
-use batsolv_types::{BatchDims, Result};
+use batsolv_types::Result;
 
 use crate::config::DEFAULT_CPU_WORKERS;
 
@@ -51,17 +52,9 @@ impl CpuLuEngine {
 
 impl SolveEngine for CpuLuEngine {
     fn solve_batch(&self, items: &[BatchItem]) -> Result<BatchReport> {
-        let n = self.pattern.num_rows();
-        let values: Vec<Vec<f64>> = items.iter().map(|it| it.values.clone()).collect();
-        let a = BatchCsr::from_system_values(Arc::clone(&self.pattern), &values)?;
-        let banded = BatchBanded::from_csr(&a)?;
-        let dims = BatchDims::new(items.len(), n)?;
-        let mut rhs = Vec::with_capacity(items.len() * n);
-        for it in items {
-            rhs.extend_from_slice(&it.rhs);
-        }
-        let b = BatchVectors::from_values(dims, rhs)?;
-        let mut x = BatchVectors::zeros(dims);
+        let banded = BatchBanded::from_csr(&csr_batch(&self.pattern, items.iter())?)?;
+        let b = stack_rhs(self.pattern.num_rows(), items.iter())?;
+        let mut x = BatchVectors::zeros(b.dims());
         let report = BatchBandedLu.solve(&self.device, &banded, &b, &mut x)?;
 
         if self.tracer.is_enabled() {
@@ -162,36 +155,46 @@ mod tests {
         assert!(report.sim_time_s > 0.0, "host dispatch is still priced");
     }
 
-    /// The spill's row: a sub-cutoff chunk of 7 warm-started XGC
-    /// systems, the size BENCH_fleet spills, costs the pool less
-    /// simulated time than a V100 shard's fused launch, on the bench grid
-    /// and on the paper's (8.3 vs 128.0 µs on 10×9, 466.7 vs 1,435.1 µs
-    /// on 32×31).
+    /// Simulated seconds of a sub-cutoff chunk of 7 warm-started XGC
+    /// systems, the size BENCH_fleet spills, on the pool and on a V100
+    /// shard's fused launch.
+    fn spilled_chunk_prices(grid: VelocityGrid) -> (f64, f64) {
+        let workload = XgcWorkload::generate(grid, 16, 20220530).unwrap();
+        let pattern = Arc::clone(workload.pattern());
+        let items: Vec<BatchItem> = (0..7)
+            .map(|k| {
+                let sys = workload.system(k);
+                BatchItem {
+                    id: k as u64,
+                    values: sys.values.to_vec(),
+                    rhs: sys.rhs.to_vec(),
+                    guess: Some(sys.warm_guess.to_vec()),
+                    tolerance: None,
+                }
+            })
+            .collect();
+        let cpu = CpuLuEngine::new(Arc::clone(&pattern), 4, Tracer::disabled());
+        let gpu = LadderEngine::new(DeviceSpec::v100(), pattern, LadderConfig::default());
+        let cpu_s = cpu.solve_batch(&items).unwrap().sim_time_s;
+        let gpu_s = gpu.solve_batch(&items).unwrap().sim_time_s;
+        (cpu_s, gpu_s)
+    }
+
+    /// The spill's row: on the bench grid the spilled chunk costs the
+    /// pool less simulated time than a V100 shard (8.3 vs 102.7 µs on
+    /// 10×9).
     #[test]
     fn the_pool_prices_a_spilled_chunk_below_a_gpu_shard() {
-        for grid in [VelocityGrid::small(10, 9), VelocityGrid::xgc_standard()] {
-            let workload = XgcWorkload::generate(grid, 16, 20220530).unwrap();
-            let pattern = Arc::clone(workload.pattern());
-            let items: Vec<BatchItem> = (0..7)
-                .map(|k| {
-                    let sys = workload.system(k);
-                    BatchItem {
-                        id: k as u64,
-                        values: sys.values.to_vec(),
-                        rhs: sys.rhs.to_vec(),
-                        guess: Some(sys.warm_guess.to_vec()),
-                        tolerance: None,
-                    }
-                })
-                .collect();
-            let cpu = CpuLuEngine::new(Arc::clone(&pattern), 4, Tracer::disabled());
-            let gpu = LadderEngine::new(DeviceSpec::v100(), pattern, LadderConfig::default());
-            let cpu_s = cpu.solve_batch(&items).unwrap().sim_time_s;
-            let gpu_s = gpu.solve_batch(&items).unwrap().sim_time_s;
-            assert!(
-                cpu_s < gpu_s,
-                "{grid:?}: pool {cpu_s:e} s vs V100 {gpu_s:e} s"
-            );
-        }
+        let (cpu_s, gpu_s) = spilled_chunk_prices(VelocityGrid::small(10, 9));
+        assert!(cpu_s < gpu_s, "pool {cpu_s:e} s vs V100 {gpu_s:e} s");
+    }
+
+    /// On the paper's grid the order is reversed since the shards solve
+    /// on ELL: the V100 prices the same chunk below the pool (438.0 vs
+    /// 466.7 µs on 32×31; on CSR the V100 cost 1,435.1 µs).
+    #[test]
+    fn on_the_paper_grid_a_gpu_shard_prices_a_spilled_chunk_below_the_pool() {
+        let (cpu_s, gpu_s) = spilled_chunk_prices(VelocityGrid::xgc_standard());
+        assert!(gpu_s < cpu_s, "pool {cpu_s:e} s vs V100 {gpu_s:e} s");
     }
 }

@@ -35,11 +35,14 @@ impl<T: Scalar> BatchCsr<T> {
     }
 
     /// Build from per-system value arrays (each of length `pattern.nnz()`).
-    pub fn from_system_values(pattern: Arc<SparsityPattern>, systems: &[Vec<T>]) -> Result<Self> {
+    pub fn from_system_values<S: AsRef<[T]>>(
+        pattern: Arc<SparsityPattern>,
+        systems: &[S],
+    ) -> Result<Self> {
         let dims = BatchDims::new(systems.len(), pattern.num_rows())?;
         let nnz = pattern.nnz();
         let mut values = Vec::with_capacity(systems.len() * nnz);
-        for (i, sys) in systems.iter().enumerate() {
+        for (i, sys) in systems.iter().map(AsRef::as_ref).enumerate() {
             if sys.len() != nnz {
                 return Err(batsolv_types::dim_mismatch!(
                     "system {i} has {} values, pattern has {} nnz",

@@ -25,10 +25,23 @@ use crate::traits::BatchMatrix;
 /// Sentinel column index marking a padding slot.
 pub const ELL_PAD: u32 = u32::MAX;
 
-/// A batch of ELL matrices sharing one set of column indices.
+/// A batch of ELL matrices sharing one [`EllIndex`].
 #[derive(Clone, Debug)]
 pub struct BatchEll<T> {
     dims: BatchDims,
+    /// The pattern-only part, shared by every batch built on it.
+    index: Arc<EllIndex>,
+    /// Values, system-major outer; within a system a `width * num_rows`
+    /// slab in the index's layout order (including padding zeros).
+    values: Vec<T>,
+}
+
+/// The pattern-only part of an ELL batch: the shared column indices and
+/// the column-major SpMV's [`StencilRuns`]. It depends on nothing but the
+/// pattern and the layout, so one index, built once and shared behind an
+/// `Arc`, serves every batch over them ([`BatchEll::zeros_on`]).
+#[derive(Debug)]
+pub struct EllIndex {
     /// The originating CSR pattern (kept for conversions and diagonal
     /// lookup; the index array below is derived from it).
     pattern: Arc<SparsityPattern>,
@@ -39,11 +52,56 @@ pub struct BatchEll<T> {
     /// Shared column indices, in `layout` order, `width * num_rows`
     /// entries, padding slots hold [`ELL_PAD`].
     col_idxs: Vec<u32>,
-    /// Values, system-major outer; within a system a `width * num_rows`
-    /// slab in `layout` order (including padding zeros).
-    values: Vec<T>,
     /// The column-major SpMV's walk of `col_idxs`; empty for row-major.
     runs: StencilRuns,
+}
+
+impl EllIndex {
+    /// The index of `pattern` in `layout`.
+    pub fn new(pattern: Arc<SparsityPattern>, layout: ValueLayout) -> EllIndex {
+        let n = pattern.num_rows();
+        let width = pattern.max_nnz_per_row();
+        let mut col_idxs = vec![ELL_PAD; width * n];
+        for r in 0..n {
+            for (k, &c) in pattern.row_cols(r).iter().enumerate() {
+                col_idxs[layout.index(n, width, r, k)] = c;
+            }
+        }
+        let runs = match layout {
+            // An entry-less pattern has no slot to walk; `zeros_on`
+            // refuses it.
+            ValueLayout::ColMajor if width > 0 => StencilRuns::new(width, n, &col_idxs),
+            _ => StencilRuns::default(),
+        };
+        EllIndex {
+            pattern,
+            width,
+            layout,
+            col_idxs,
+            runs,
+        }
+    }
+
+    /// The originating sparsity pattern.
+    #[inline]
+    pub fn pattern(&self) -> &Arc<SparsityPattern> {
+        &self.pattern
+    }
+
+    /// Values per system slab (`width * num_rows`, padding included).
+    #[inline]
+    fn slab_len(&self) -> usize {
+        self.width * self.pattern.num_rows()
+    }
+
+    /// Slab slot of every stored entry, in CSR order: row `r`'s `k`-th
+    /// entry sits in slot `k` of the row.
+    fn csr_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        let n = self.pattern.num_rows();
+        (0..n).flat_map(move |r| {
+            (0..self.pattern.nnz_in_row(r)).map(move |k| self.layout.index(n, self.width, r, k))
+        })
+    }
 }
 
 /// Shortest stretch of a slot walked as a unit-stride run; shorter ones are
@@ -143,31 +201,21 @@ impl<T: Scalar> BatchEll<T> {
         pattern: Arc<SparsityPattern>,
         layout: ValueLayout,
     ) -> Result<Self> {
-        let n = pattern.num_rows();
-        let dims = BatchDims::new(num_systems, n)?;
-        let width = pattern.max_nnz_per_row();
-        if width == 0 {
+        Self::zeros_on(num_systems, Arc::new(EllIndex::new(pattern, layout)))
+    }
+
+    /// A zero-valued ELL batch on a shared `index`: only the value slabs
+    /// are allocated.
+    pub fn zeros_on(num_systems: usize, index: Arc<EllIndex>) -> Result<Self> {
+        let dims = BatchDims::new(num_systems, index.pattern.num_rows())?;
+        if index.width == 0 {
             return Err(Error::InvalidFormat("empty pattern for BatchEll".into()));
         }
-        let mut col_idxs = vec![ELL_PAD; width * n];
-        for r in 0..n {
-            for (k, &c) in pattern.row_cols(r).iter().enumerate() {
-                col_idxs[layout.index(n, width, r, k)] = c;
-            }
-        }
-        let runs = match layout {
-            ValueLayout::ColMajor => StencilRuns::new(width, n, &col_idxs),
-            ValueLayout::RowMajor => StencilRuns::default(),
-        };
-        let values = vec![T::ZERO; num_systems * width * n];
+        let values = vec![T::ZERO; num_systems * index.slab_len()];
         Ok(BatchEll {
             dims,
-            pattern,
-            width,
-            layout,
-            col_idxs,
+            index,
             values,
-            runs,
         })
     }
 
@@ -179,37 +227,47 @@ impl<T: Scalar> BatchEll<T> {
     /// Convert a CSR batch to ELL with an explicit value layout.
     pub fn from_csr_in(csr: &BatchCsr<T>, layout: ValueLayout) -> Result<Self> {
         let mut ell = Self::zeros_in(csr.dims().num_systems, Arc::clone(csr.pattern()), layout)?;
-        let n = ell.dims.num_rows;
-        let width = ell.width;
         for i in 0..csr.dims().num_systems {
-            let src = csr.values_of(i);
-            let slab = ell.values_of_mut(i);
-            for r in 0..n {
-                let (b, e) = csr.pattern().row_range(r);
-                for (k, kk) in (b..e).enumerate() {
-                    slab[layout.index(n, width, r, k)] = src[kk];
-                }
-            }
+            ell.copy_csr_values(i, csr.values_of(i))?;
         }
         Ok(ell)
+    }
+
+    /// Copy system `i`'s values, given in CSR order over the pattern
+    /// (`nnz` entries), into its slab. Padding slots are left as they
+    /// are.
+    pub fn copy_csr_values(&mut self, i: usize, csr_values: &[T]) -> Result<()> {
+        let nnz = self.pattern().nnz();
+        if csr_values.len() != nnz {
+            return Err(batsolv_types::dim_mismatch!(
+                "system {i} has {} values, pattern has {nnz} nnz",
+                csr_values.len()
+            ));
+        }
+        let slab = self.index.slab_len();
+        let dst = &mut self.values[i * slab..(i + 1) * slab];
+        for (slot, &v) in self.index.csr_slots().zip(csr_values) {
+            dst[slot] = v;
+        }
+        Ok(())
     }
 
     /// Re-order the batch into another layout (values are copied; the
     /// numeric content is unchanged).
     pub fn to_layout(&self, layout: ValueLayout) -> Self {
-        if layout == self.layout {
+        if layout == self.layout() {
             return self.clone();
         }
         let n = self.dims.num_rows;
-        let width = self.width;
-        let mut out = Self::zeros_in(self.dims.num_systems, Arc::clone(&self.pattern), layout)
+        let width = self.width();
+        let mut out = Self::zeros_in(self.dims.num_systems, Arc::clone(self.pattern()), layout)
             .expect("dims already validated");
         for i in 0..self.dims.num_systems {
             let src = self.values_of(i);
             let dst = out.values_of_mut(i);
             for r in 0..n {
                 for k in 0..width {
-                    dst[layout.index(n, width, r, k)] = src[self.layout.index(n, width, r, k)];
+                    dst[layout.index(n, width, r, k)] = src[self.layout().index(n, width, r, k)];
                 }
             }
         }
@@ -218,24 +276,14 @@ impl<T: Scalar> BatchEll<T> {
 
     /// Convert back to CSR.
     pub fn to_csr(&self) -> BatchCsr<T> {
-        let mut csr = BatchCsr::zeros(self.dims.num_systems, Arc::clone(&self.pattern))
+        let mut csr = BatchCsr::zeros(self.dims.num_systems, Arc::clone(self.pattern()))
             .expect("dims already validated");
-        let n = self.dims.num_rows;
-        let width = self.width;
-        let layout = self.layout;
         for i in 0..self.dims.num_systems {
             let slab = self.values_of(i);
-            // fill_system visits pattern entries in CSR order; map each to
-            // its ELL slot.
-            let pattern = Arc::clone(&self.pattern);
-            csr.fill_system(i, |r, c| {
-                let k = pattern
-                    .row_cols(r)
-                    .iter()
-                    .position(|&cc| cc as usize == c)
-                    .expect("entry present");
-                slab[layout.index(n, width, r, k)]
-            });
+            let dst = csr.values_of_mut(i);
+            for (v, slot) in dst.iter_mut().zip(self.index.csr_slots()) {
+                *v = slab[slot];
+            }
         }
         csr
     }
@@ -243,47 +291,47 @@ impl<T: Scalar> BatchEll<T> {
     /// Uniform row width (entries per row including padding).
     #[inline]
     pub fn width(&self) -> usize {
-        self.width
+        self.index.width
     }
 
     /// Memory order of the value slabs and index array.
     #[inline]
     pub fn layout(&self) -> ValueLayout {
-        self.layout
+        self.index.layout
     }
 
     /// The originating sparsity pattern.
     #[inline]
     pub fn pattern(&self) -> &Arc<SparsityPattern> {
-        &self.pattern
+        &self.index.pattern
     }
 
     /// Shared column-index array (in [`Self::layout`] order, padding =
     /// [`ELL_PAD`]).
     #[inline]
     pub fn col_idxs(&self) -> &[u32] {
-        &self.col_idxs
+        &self.index.col_idxs
     }
 
     /// The column-major SpMV's runs and gathered rows (empty for
     /// row-major).
     #[cfg(test)]
     pub(crate) fn stencil_runs(&self) -> &StencilRuns {
-        &self.runs
+        &self.index.runs
     }
 
     /// Value slab of system `i` (`width * num_rows`, in
     /// [`Self::layout`] order).
     #[inline]
     pub fn values_of(&self, i: usize) -> &[T] {
-        let slab = self.width * self.dims.num_rows;
+        let slab = self.index.slab_len();
         &self.values[i * slab..(i + 1) * slab]
     }
 
     /// Mutable value slab of system `i`.
     #[inline]
     pub fn values_of_mut(&mut self, i: usize) -> &mut [T] {
-        let slab = self.width * self.dims.num_rows;
+        let slab = self.index.slab_len();
         &mut self.values[i * slab..(i + 1) * slab]
     }
 
@@ -291,16 +339,15 @@ impl<T: Scalar> BatchEll<T> {
     /// order (for filling the batch in parallel, one system per block).
     pub fn systems_mut(&mut self) -> impl Iterator<Item = &mut [T]> {
         // A slab is never empty: the width and the row count are non-zero.
-        self.values
-            .chunks_exact_mut(self.width * self.dims.num_rows)
+        self.values.chunks_exact_mut(self.index.slab_len())
     }
 
     /// Read entry `(row, col)` of system `i` (zero if not stored).
     pub fn get(&self, i: usize, row: usize, col: usize) -> T {
         let n = self.dims.num_rows;
-        for k in 0..self.width {
-            let idx = self.layout.index(n, self.width, row, k);
-            if self.col_idxs[idx] == col as u32 {
+        for k in 0..self.width() {
+            let idx = self.layout().index(n, self.width(), row, k);
+            if self.col_idxs()[idx] == col as u32 {
                 return self.values_of(i)[idx];
             }
         }
@@ -310,10 +357,10 @@ impl<T: Scalar> BatchEll<T> {
     /// Fill system `i` from an entry function over the stored pattern.
     pub fn fill_system(&mut self, i: usize, mut f: impl FnMut(usize, usize) -> T) {
         let n = self.dims.num_rows;
-        let width = self.width;
-        let layout = self.layout;
+        let width = self.index.width;
+        let layout = self.index.layout;
         let len = width * n;
-        let cols = &self.col_idxs;
+        let cols = &self.index.col_idxs;
         let slab = &mut self.values[i * len..(i + 1) * len];
         for r in 0..n {
             for k in 0..width {
@@ -329,8 +376,8 @@ impl<T: Scalar> BatchEll<T> {
     /// Fraction of value slots that are padding (the waste the paper calls
     /// "very little padding necessary, only for the boundary points").
     pub fn padding_fraction(&self) -> f64 {
-        let slots = self.width * self.dims.num_rows;
-        let pad = slots - self.pattern.nnz();
+        let slots = self.index.slab_len();
+        let pad = slots - self.pattern().nnz();
         pad as f64 / slots as f64
     }
 }
@@ -388,23 +435,23 @@ impl<T: Scalar> BatchMatrix<T> for BatchEll<T> {
     }
 
     fn format_name(&self) -> &'static str {
-        match self.layout {
+        match self.layout() {
             ValueLayout::ColMajor => "BatchEll",
             ValueLayout::RowMajor => "BatchEll(row-major)",
         }
     }
 
     fn stored_per_system(&self) -> usize {
-        self.width * self.dims.num_rows
+        self.index.slab_len()
     }
 
     fn spmv_system(&self, i: usize, x: &[T], y: &mut [T]) {
         debug_assert_eq!(x.len(), self.dims.num_rows);
         debug_assert_eq!(y.len(), self.dims.num_rows);
         let slab = self.values_of(i);
-        match self.layout {
-            ValueLayout::ColMajor => spmv_col_major(&self.runs, &self.col_idxs, slab, x, y),
-            ValueLayout::RowMajor => spmv_row_major(self.width, &self.col_idxs, slab, x, y),
+        match self.layout() {
+            ValueLayout::ColMajor => spmv_col_major(&self.index.runs, self.col_idxs(), slab, x, y),
+            ValueLayout::RowMajor => spmv_row_major(self.width(), self.col_idxs(), slab, x, y),
         }
     }
 
@@ -419,19 +466,19 @@ impl<T: Scalar> BatchMatrix<T> for BatchEll<T> {
     fn extract_diagonal(&self, i: usize, diag: &mut [T]) {
         let n = self.dims.num_rows;
         let slab = self.values_of(i);
-        match self.layout {
+        match self.layout() {
             ValueLayout::ColMajor => {
                 // A row stores its diagonal in at most one slot: copy the
                 // runs on the main diagonal whole, then check the gathered
                 // rows.
                 diag.iter_mut().for_each(|d| *d = T::ZERO);
-                for k in 0..self.width {
+                for k in 0..self.width() {
                     let vals = &slab[k * n..(k + 1) * n];
-                    for (r, _, len) in self.runs.runs(k).filter(|&(r, c, _)| r == c) {
+                    for (r, _, len) in self.index.runs.runs(k).filter(|&(r, c, _)| r == c) {
                         diag[r..r + len].copy_from_slice(&vals[r..r + len]);
                     }
-                    for &r in self.runs.gathered(k) {
-                        if self.col_idxs[k * n + r as usize] == r {
+                    for &r in self.index.runs.gathered(k) {
+                        if self.col_idxs()[k * n + r as usize] == r {
                             diag[r as usize] = vals[r as usize];
                         }
                     }
@@ -440,9 +487,9 @@ impl<T: Scalar> BatchMatrix<T> for BatchEll<T> {
             ValueLayout::RowMajor => {
                 for r in 0..n {
                     let mut d = T::ZERO;
-                    for k in 0..self.width {
-                        let idx = self.layout.index(n, self.width, r, k);
-                        if self.col_idxs[idx] == r as u32 {
+                    for k in 0..self.width() {
+                        let idx = self.layout().index(n, self.width(), r, k);
+                        if self.col_idxs()[idx] == r as u32 {
                             d = slab[idx];
                             break;
                         }
@@ -459,7 +506,7 @@ impl<T: Scalar> BatchMatrix<T> for BatchEll<T> {
 
     fn spmv_x_read_bytes(&self) -> u64 {
         // Gathers skip the padding slots.
-        (self.pattern.nnz() * T::BYTES) as u64
+        (self.pattern().nnz() * T::BYTES) as u64
     }
 
     fn spmv_counts(&self, warp_size: u32) -> OpCounts {
@@ -468,9 +515,9 @@ impl<T: Scalar> BatchMatrix<T> for BatchEll<T> {
         let w = warp_size as u64;
         let warps = n.div_ceil(w);
         // One thread per row; k-th pass touches all rows whose nnz > k.
-        for k in 0..self.width {
+        for k in 0..self.width() {
             let active: u64 = (0..self.dims.num_rows)
-                .filter(|&r| self.pattern.nnz_in_row(r) > k)
+                .filter(|&r| self.pattern().nnz_in_row(r) > k)
                 .count() as u64;
             // Every warp still issues the pass (they walk k in lockstep).
             c.lane_total += warps * w;
@@ -478,24 +525,24 @@ impl<T: Scalar> BatchMatrix<T> for BatchEll<T> {
             c.flops += 2 * active;
         }
         let vb = T::BYTES as u64;
-        let slots = (self.width as u64) * n;
+        let slots = (self.width() as u64) * n;
         // Slab traffic (values + indices) pays the layout's coalescing
         // factor: column-major streams, row-major strides by `width`.
-        let amp = self.layout.traffic_amplification(self.width);
+        let amp = self.layout().traffic_amplification(self.width());
         c.global_read_bytes += slots * vb * amp; // values incl. padding
         c.global_read_bytes += slots * 4 * amp; // shared column indices
-        c.global_read_bytes += (self.pattern.nnz() as u64) * vb; // gathered x
+        c.global_read_bytes += (self.pattern().nnz() as u64) * vb; // gathered x
         c.global_write_bytes += n * vb; // y
         c
     }
 
     fn value_bytes_per_system(&self) -> usize {
-        self.width * self.dims.num_rows * T::BYTES
+        self.index.slab_len() * T::BYTES
     }
 
     fn shared_index_bytes(&self) -> usize {
         // Figure 3: num_nnz_per_row x num_rows indices, stored once.
-        self.width * self.dims.num_rows * core::mem::size_of::<u32>()
+        self.index.slab_len() * core::mem::size_of::<u32>()
     }
 }
 
@@ -533,6 +580,31 @@ mod tests {
                 assert!(m.values_of(i).iter().all(|&v| v == i as f64));
             }
         }
+    }
+
+    #[test]
+    fn batches_on_one_index_share_it_and_match_from_csr() {
+        let csr = stencil_csr(7, 6);
+        for layout in [ValueLayout::ColMajor, ValueLayout::RowMajor] {
+            let index = Arc::new(EllIndex::new(Arc::clone(csr.pattern()), layout));
+            let mut ell = BatchEll::zeros_on(2, Arc::clone(&index)).unwrap();
+            for i in 0..2 {
+                ell.copy_csr_values(i, csr.values_of(i)).unwrap();
+            }
+            let reference = BatchEll::from_csr_in(&csr, layout).unwrap();
+            assert_eq!(
+                Arc::strong_count(&index),
+                2,
+                "{layout:?}: one index, shared"
+            );
+            assert_eq!(ell.col_idxs(), reference.col_idxs(), "{layout:?}");
+            for i in 0..2 {
+                assert_eq!(ell.values_of(i), reference.values_of(i), "{layout:?}");
+            }
+            assert!(ell.copy_csr_values(0, &csr.values_of(0)[1..]).is_err());
+        }
+        let empty = Arc::new(SparsityPattern::from_coords(0, &[]).unwrap());
+        assert!(BatchEll::<f64>::zeros(1, empty).is_err());
     }
 
     #[test]

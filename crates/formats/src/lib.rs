@@ -41,7 +41,7 @@ pub use banded::BatchBanded;
 pub use csr::BatchCsr;
 pub use dense::BatchDense;
 pub use dia::BatchDia;
-pub use ell::BatchEll;
+pub use ell::{BatchEll, EllIndex};
 pub use layout::ValueLayout;
 pub use matrix_market::MmError;
 pub use pattern::SparsityPattern;

@@ -14,6 +14,9 @@ use crate::dispatcher::{LadderConfig, SolverVariant};
 /// continuous-batching inference server: `batch_target` caps how many
 /// systems are fused into one launch (throughput), `linger` bounds how
 /// long the oldest queued request may wait for companions (latency).
+/// The default linger is zero, which makes the service work-conserving:
+/// an idle engine takes a lone request at once, and a busy one fuses
+/// whatever queued during its previous launch (up to `batch_target`).
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
     /// Simulated device batches are priced on.
@@ -26,7 +29,8 @@ pub struct RuntimeConfig {
     /// pending.
     pub batch_target: usize,
     /// Flush trigger 2: cut a batch (of whatever size) once the oldest
-    /// pending request has waited this long.
+    /// pending request has waited this long. Zero (the default) cuts as
+    /// soon as the worker has drained the queue.
     pub linger: Duration,
     /// Absolute residual tolerance used when a request does not carry its
     /// own (the paper's production tolerance).
@@ -63,16 +67,17 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// Defaults: V100 pricing, 1024-deep queue, batches of 128, 2 ms
-    /// linger, and the ladder of [`LadderConfig::default`] (the paper's
-    /// 1e-10 tolerance), which the fleet shares.
+    /// Defaults: V100 pricing, 1024-deep queue, batches of at most 128,
+    /// no linger (work-conserving dispatch: README "The serving menu"
+    /// names its row), and the ladder of [`LadderConfig::default`] (the
+    /// paper's 1e-10 tolerance), which the fleet shares.
     pub fn new(device: DeviceSpec) -> RuntimeConfig {
         let ladder = LadderConfig::default();
         RuntimeConfig {
             device,
             queue_capacity: 1024,
             batch_target: 128,
-            linger: Duration::from_millis(2),
+            linger: Duration::ZERO,
             tolerance: ladder.default_tolerance,
             max_iters: ladder.max_iters,
             solver: ladder.solver,
@@ -99,7 +104,8 @@ impl RuntimeConfig {
         self
     }
 
-    /// Override the linger time.
+    /// Override the linger time: a nonzero linger holds a lone request in
+    /// the hope of company, trading latency for bigger batches.
     pub fn with_linger(mut self, linger: Duration) -> Self {
         self.linger = linger;
         self

@@ -8,6 +8,10 @@
 //! reprocesses the systems the previous rung left behind, so a healthy
 //! batch pays exactly one BiCGSTAB launch.
 //!
+//! The iterative rungs solve on the paper's column-major `BatchEll`. The
+//! engine builds the pattern's [`EllIndex`] once and copies each member's
+//! CSR-ordered values straight into a batch on it: one copy per request.
+//!
 //! The engine consults a [`LaunchHook`] immediately before the fused
 //! launch — the chaos seam: a hook can fail the launch like a device
 //! error, stall it, or panic the worker (see `batsolv-faults`).
@@ -15,7 +19,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use batsolv_formats::{BatchBanded, BatchCsr, BatchVectors, SparsityPattern};
+use batsolv_formats::{
+    BatchBanded, BatchCsr, BatchEll, BatchVectors, EllIndex, SparsityPattern, ValueLayout,
+};
 use batsolv_gpusim::{
     kernel_launch_event, reduction_event, sync_point_event, transfer_event, DeviceSpec, Direction,
     LaunchDisruption, LaunchHook, NoDisruption,
@@ -229,7 +235,8 @@ impl Default for LadderConfig {
 /// iterative rung under scalar Jacobi.
 pub struct LadderEngine {
     device: DeviceSpec,
-    pattern: Arc<SparsityPattern>,
+    /// The column-major ELL index of the served pattern, built once.
+    index: Arc<EllIndex>,
     cfg: LadderConfig,
     hook: Arc<dyn LaunchHook>,
     tracer: Tracer,
@@ -255,7 +262,7 @@ impl LadderEngine {
     ) -> LadderEngine {
         LadderEngine {
             device,
-            pattern,
+            index: Arc::new(EllIndex::new(pattern, ValueLayout::ColMajor)),
             cfg,
             hook,
             tracer: Tracer::disabled(),
@@ -314,7 +321,7 @@ impl LadderEngine {
             );
         }
         if report.kernel.reductions > 0 {
-            let width = (self.pattern.num_rows() * blocks) as u64;
+            let width = (self.index.pattern().num_rows() * blocks) as u64;
             self.tracer.emit(
                 None,
                 reduction_event(seq, report.solver, width, &report.kernel).with_shard(self.shard),
@@ -339,22 +346,20 @@ impl LadderEngine {
             .fold(self.cfg.default_tolerance, f64::min)
     }
 
-    /// Build the CSR batch / RHS vectors for a subset of items.
+    /// Copy a subset's values into one ELL batch on the shared index (one
+    /// copy per member) and stack its right-hand sides.
     fn assemble(
         &self,
         items: &[BatchItem],
         subset: &[usize],
-    ) -> Result<(BatchCsr<f64>, BatchVectors<f64>, BatchDims)> {
-        let n = self.pattern.num_rows();
-        let dims = BatchDims::new(subset.len(), n)?;
-        let values: Vec<Vec<f64>> = subset.iter().map(|&i| items[i].values.clone()).collect();
-        let a = BatchCsr::from_system_values(Arc::clone(&self.pattern), &values)?;
-        let mut rhs_flat = Vec::with_capacity(subset.len() * n);
-        for &i in subset {
-            rhs_flat.extend_from_slice(&items[i].rhs);
+    ) -> Result<(BatchEll<f64>, BatchVectors<f64>)> {
+        let mut a = BatchEll::zeros_on(subset.len(), Arc::clone(&self.index))?;
+        for (k, &i) in subset.iter().enumerate() {
+            a.copy_csr_values(k, &items[i].values)?;
         }
-        let b = BatchVectors::from_values(dims, rhs_flat)?;
-        Ok((a, b, dims))
+        let n = self.index.pattern().num_rows();
+        let b = stack_rhs(n, subset.iter().map(|&i| &items[i]))?;
+        Ok((a, b))
     }
 
     /// Rung 1: one fused launch of the configured solver variant under
@@ -363,7 +368,7 @@ impl LadderEngine {
     fn run_rung1(
         &self,
         tol: f64,
-        a: &BatchCsr<f64>,
+        a: &BatchEll<f64>,
         b: &BatchVectors<f64>,
         x: &mut BatchVectors<f64>,
         items: &[BatchItem],
@@ -458,7 +463,7 @@ impl SolveEngine for LadderEngine {
             }
         }
 
-        let n = self.pattern.num_rows();
+        let n = self.index.pattern().num_rows();
         let tol = self.effective_tolerance(items);
         let all: Vec<usize> = (0..items.len()).collect();
         let method = self.cfg.solver.name();
@@ -472,8 +477,8 @@ impl SolveEngine for LadderEngine {
         };
 
         // Rung 1: fused BiCGSTAB over the whole batch.
-        let (a, b, dims) = self.assemble(items, &all)?;
-        let mut x = BatchVectors::zeros(dims);
+        let (a, b) = self.assemble(items, &all)?;
+        let mut x = BatchVectors::zeros(b.dims());
         for (i, it) in items.iter().enumerate() {
             if let Some(g) = &it.guess {
                 x.system_mut(i).copy_from_slice(g);
@@ -517,8 +522,8 @@ impl SolveEngine for LadderEngine {
         // warm-started from the (sanitized, finite) BiCGSTAB iterate.
         let sub = stragglers(&out.outcomes);
         if self.cfg.enable_gmres && !sub.is_empty() {
-            let (sub_a, sub_b, sub_dims) = self.assemble(items, &sub)?;
-            let mut sub_x = BatchVectors::zeros(sub_dims);
+            let (sub_a, sub_b) = self.assemble(items, &sub)?;
+            let mut sub_x = BatchVectors::zeros(sub_b.dims());
             for (k, &i) in sub.iter().enumerate() {
                 sub_x.system_mut(k).copy_from_slice(&out.outcomes[i].x);
             }
@@ -541,9 +546,10 @@ impl SolveEngine for LadderEngine {
         // to dgbsv cost instead of an error.
         let sub = stragglers(&out.outcomes);
         if self.cfg.enable_fallback && !sub.is_empty() {
-            let (sub_a, sub_b, sub_dims) = self.assemble(items, &sub)?;
-            let banded = BatchBanded::from_csr(&sub_a)?;
-            let mut sub_x = BatchVectors::zeros(sub_dims);
+            let members = || sub.iter().map(|&i| &items[i]);
+            let banded = BatchBanded::from_csr(&csr_batch(self.index.pattern(), members())?)?;
+            let sub_b = stack_rhs(n, members())?;
+            let mut sub_x = BatchVectors::zeros(sub_b.dims());
             let report = self.run_rung(3, "banded-lu", items, &sub, &mut out, || {
                 BatchBandedLu.solve(&self.device, &banded, &sub_b, &mut sub_x)
             })?;
@@ -569,6 +575,29 @@ impl SolveEngine for LadderEngine {
             .add_transfer(&self.device, download, Direction::DeviceToHost);
         Ok(out)
     }
+}
+
+/// The members' CSR values as one batch, each copied straight into its
+/// slab: the banded-LU rung and the CPU pool convert it to banded.
+pub fn csr_batch<'a>(
+    pattern: &Arc<SparsityPattern>,
+    members: impl Iterator<Item = &'a BatchItem>,
+) -> Result<BatchCsr<f64>> {
+    let values: Vec<&[f64]> = members.map(|it| it.values.as_slice()).collect();
+    BatchCsr::from_system_values(Arc::clone(pattern), &values)
+}
+
+/// The members' right-hand sides stacked into one batch of `n`-vectors.
+pub fn stack_rhs<'a>(
+    n: usize,
+    members: impl ExactSizeIterator<Item = &'a BatchItem>,
+) -> Result<BatchVectors<f64>> {
+    let dims = BatchDims::new(members.len(), n)?;
+    let mut flat = Vec::with_capacity(dims.num_systems * n);
+    for it in members {
+        flat.extend_from_slice(&it.rhs);
+    }
+    BatchVectors::from_values(dims, flat)
 }
 
 /// Fold an escalation rung's results over `sub` into the outcomes: the

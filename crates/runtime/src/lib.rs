@@ -18,10 +18,11 @@
 //!   gate off;
 //! * a **batch former** with two flush triggers — target batch size
 //!   reached, or the oldest request aged past a configurable linger
-//!   time;
+//!   time, zero by default: an idle service dispatches at once, a busy
+//!   one fuses what queued during the previous launch;
 //! * an **escalation ladder** ([`LadderEngine`]) running each formed
 //!   batch as one fused [`BatchBicgstab`](batsolv_solvers::BatchBicgstab)
-//!   launch, retrying stragglers with restarted GMRES and, last, the
+//!   launch on the paper's column-major ELL, retrying stragglers with restarted GMRES and, last, the
 //!   banded-LU direct solver (`dgbsv` baseline); every rung attempted is
 //!   recorded in the outcome ([`RungAttempt`]);
 //! * **one batch executor** ([`Worker::execute`]), shared with the
@@ -55,9 +56,7 @@
 //!
 //! // Shared 5-point stencil; every request supplies its own values.
 //! let pattern = Arc::new(SparsityPattern::stencil_2d(8, 8, false));
-//! let config = RuntimeConfig::new(DeviceSpec::v100())
-//!     .with_batch_target(4)
-//!     .with_linger(std::time::Duration::from_millis(1));
+//! let config = RuntimeConfig::new(DeviceSpec::v100()).with_batch_target(4);
 //! let service = SolveService::start(Arc::clone(&pattern), config).unwrap();
 //!
 //! // Diagonally dominant values: 8 on the diagonal, -1 off it.

@@ -500,3 +500,110 @@ fn unreachable_tolerance_is_refused_and_spares_its_batchmates() {
         assert_eq!(stats.rejected_total(), 1);
     }
 }
+
+/// Records every fused launch's request ids; when armed, holds the next
+/// launch until released.
+#[derive(Default)]
+struct HoldNext {
+    launches: Mutex<Vec<Vec<u64>>>,
+    /// (armed, held): `armed` asks for the next launch to be held,
+    /// `held` is set while it waits.
+    state: Mutex<(bool, bool)>,
+    changed: Condvar,
+}
+
+impl HoldNext {
+    fn arm(&self) {
+        self.state.lock().unwrap().0 = true;
+    }
+
+    /// Block until a launch is being held.
+    fn await_held(&self) {
+        let state = self.state.lock().unwrap();
+        let (state, timeout) = self
+            .changed
+            .wait_timeout_while(state, Duration::from_secs(60), |s| !s.1)
+            .unwrap();
+        assert!(state.1 && !timeout.timed_out(), "no launch was held");
+    }
+
+    fn release(&self) {
+        self.state.lock().unwrap().1 = false;
+        self.changed.notify_all();
+    }
+}
+
+impl LaunchHook for HoldNext {
+    fn disrupt(&self, ids: &[u64]) -> LaunchDisruption {
+        self.launches.lock().unwrap().push(ids.to_vec());
+        let mut state = self.state.lock().unwrap();
+        if std::mem::take(&mut state.0) {
+            state.1 = true;
+            self.changed.notify_all();
+            while state.1 {
+                state = self.changed.wait(state).unwrap();
+            }
+        }
+        LaunchDisruption::Proceed
+    }
+}
+
+/// The default configuration is work-conserving. A lone request on an
+/// idle service reaches the engine alone, held for no company: its ledger
+/// books no linger wait (a 2 ms linger would put every request's queue +
+/// linger at 2 ms or more). And the requests that arrive while a launch
+/// is in flight are fused into the next launch.
+#[test]
+fn the_default_dispatches_at_once_and_fuses_what_queues_behind_a_launch() {
+    let workload =
+        XgcWorkload::generate_single_species(VelocityGrid::small(8, 7), Species::ion(), 8, 5)
+            .unwrap();
+    let sink = Arc::new(MemorySink::new());
+    let hook = Arc::new(HoldNext::default());
+    let config = RuntimeConfig::new(DeviceSpec::v100()).with_tracer(Tracer::new(sink.clone()));
+    let pattern = Arc::clone(workload.pattern());
+    let service = SolveService::start_with_hook(pattern, config, hook.clone()).unwrap();
+    let submit = |k: usize| {
+        let sys = workload.system(k);
+        let request = SolveRequest::new(sys.values.to_vec(), sys.rhs.to_vec());
+        service.submit(request).unwrap()
+    };
+
+    // Lone requests, one at a time.
+    for k in 0..4 {
+        submit(k).wait().unwrap();
+    }
+    // One held launch, and three requests that queue behind it.
+    hook.arm();
+    let held = submit(4);
+    hook.await_held();
+    let behind: Vec<_> = (5..8).map(submit).collect();
+    hook.release();
+    held.wait().unwrap();
+    for t in behind {
+        t.wait().unwrap();
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.converged_iterative, 8);
+
+    let launches = hook.launches.lock().unwrap().clone();
+    let expected: Vec<Vec<u64>> = vec![vec![0], vec![1], vec![2], vec![3], vec![4], vec![5, 6, 7]];
+    assert_eq!(
+        launches, expected,
+        "one launch per lone request, then one fused"
+    );
+    let waits: Vec<f64> = sink
+        .snapshot()
+        .into_iter()
+        .filter_map(|ev| match (ev.trace_id, ev.kind) {
+            (Some(id), EventKind::Ledger(l)) if id < 4 => Some(l.queue_us + l.linger_us),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(waits.len(), 4);
+    let least = waits.iter().copied().fold(f64::INFINITY, f64::min);
+    assert!(
+        least < 1_000.0,
+        "a lone request waited {least:.0} us before dispatch (all: {waits:?})"
+    );
+}

@@ -12,7 +12,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use batsolv_formats::{BatchEll, BatchVectors, SparsityPattern};
+use batsolv_formats::{BatchEll, BatchVectors, EllIndex, ValueLayout};
 use batsolv_gpusim::{run_batch_mut, DeviceSpec};
 use batsolv_solvers::{AbsResidual, BatchBicgstab, Jacobi};
 use batsolv_types::{BatchDims, Error, Result};
@@ -39,7 +39,9 @@ pub struct MultiSpeciesProxy {
     pub tolerance: f64,
     /// Spatial mesh nodes.
     pub num_mesh_nodes: usize,
-    pattern: Arc<SparsityPattern>,
+    /// The column-major ELL index of the shared nine-point pattern,
+    /// which every step's batch is built on.
+    index: Arc<EllIndex>,
     /// Scatter plan into ELL slabs, recorded on first use.
     plan: OnceLock<ScatterPlan>,
 }
@@ -88,7 +90,10 @@ impl MultiSpeciesProxy {
             picard_iterations: 5,
             tolerance: 1e-10,
             num_mesh_nodes,
-            pattern: Arc::new(grid.stencil_pattern()),
+            index: Arc::new(EllIndex::new(
+                Arc::new(grid.stencil_pattern()),
+                ValueLayout::ColMajor,
+            )),
             plan: OnceLock::new(),
         }
     }
@@ -153,7 +158,7 @@ impl MultiSpeciesProxy {
         let mut iterate = state.clone();
         let mut linear_iters = Vec::new();
         let mut total_time = 0.0;
-        let mut ell = BatchEll::zeros(total, Arc::clone(&self.pattern))?;
+        let mut ell = BatchEll::zeros_on(total, Arc::clone(&self.index))?;
         let plan = self.plan.get_or_init(|| ScatterPlan::ell(&self.grid, &ell));
         for _ in 0..self.picard_iterations {
             // Assemble the combined batch from the current iterate, one

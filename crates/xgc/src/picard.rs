@@ -10,7 +10,9 @@
 
 use std::sync::{Arc, OnceLock};
 
-use batsolv_formats::{BatchBanded, BatchCsr, BatchEll, BatchVectors, SparsityPattern};
+use batsolv_formats::{
+    BatchBanded, BatchCsr, BatchEll, BatchVectors, EllIndex, SparsityPattern, ValueLayout,
+};
 use batsolv_gpusim::{run_batch_mut, DeviceSpec};
 use batsolv_solvers::direct::{BatchBandedLu, BatchSparseQr};
 use batsolv_solvers::{AbsResidual, BatchBicgstab, BatchSolveReport, Jacobi};
@@ -118,8 +120,10 @@ pub struct CollisionProxy {
     /// Number of spatial mesh nodes in the batch.
     pub num_mesh_nodes: usize,
     shared_pattern: Arc<SparsityPattern>,
-    /// Scatter plans into CSR values and into ELL slabs, each recorded
-    /// on first use (a proxy that never assembles never pays for one).
+    /// The pattern's column-major ELL index and the scatter plans into
+    /// CSR values and into ELL slabs, each built on first use (a proxy
+    /// that never assembles never pays for one).
+    ell_index: OnceLock<Arc<EllIndex>>,
     csr_plan: OnceLock<ScatterPlan>,
     ell_plan: OnceLock<ScatterPlan>,
 }
@@ -135,6 +139,7 @@ impl CollisionProxy {
             tolerance: 1e-10,
             num_mesh_nodes,
             shared_pattern,
+            ell_index: OnceLock::new(),
             csr_plan: OnceLock::new(),
             ell_plan: OnceLock::new(),
         }
@@ -149,6 +154,15 @@ impl CollisionProxy {
     /// The shared nine-point pattern.
     pub fn pattern(&self) -> &Arc<SparsityPattern> {
         &self.shared_pattern
+    }
+
+    /// The shared pattern's column-major ELL index, which every step's
+    /// batch is built on.
+    fn ell_index(&self) -> &Arc<EllIndex> {
+        self.ell_index.get_or_init(|| {
+            let pattern = Arc::clone(&self.shared_pattern);
+            Arc::new(EllIndex::new(pattern, ValueLayout::ColMajor))
+        })
     }
 
     /// Initial state: per-node perturbed Maxwellians plus a
@@ -302,8 +316,9 @@ impl CollisionProxy {
     }
 
     /// One sweep's batch, assembled from `iterate` and solved with
-    /// `solver`. `BicgstabEll` fills `ell` in place, allocating it on the
-    /// first sweep; the other solvers assemble a fresh CSR batch.
+    /// `solver`. `BicgstabEll` fills `ell` in place, allocating its values
+    /// on the proxy's ELL index on the first sweep; the other solvers
+    /// assemble a fresh CSR batch.
     fn sweep_solve(
         &self,
         device: &DeviceSpec,
@@ -318,9 +333,9 @@ impl CollisionProxy {
             SolverKind::BicgstabEll => {
                 let ell = match ell {
                     Some(ell) => ell,
-                    None => ell.insert(BatchEll::zeros(
+                    None => ell.insert(BatchEll::zeros_on(
                         2 * self.num_mesh_nodes,
-                        Arc::clone(&self.shared_pattern),
+                        Arc::clone(self.ell_index()),
                     )?),
                 };
                 self.assemble_combined_ell(iterate, ell);
