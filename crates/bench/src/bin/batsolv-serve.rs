@@ -34,12 +34,17 @@
 //! with per-device labels. `--compare` reruns with stealing toggled off
 //! and reports the fleet p99/makespan delta.
 //!
-//! Robustness flags (fleet mode): `--deadline-ms N` attaches a deadline
-//! budget to every request (infeasible deadlines are rejected at
-//! admission, spent budgets shed at dispatch), `--retries N` re-routes
-//! retryably failed chunks to a different shard up to N extra times
-//! with deterministic backoff, and `--hedge` lets idle shards duplicate
-//! straggling peer flights (first terminal outcome wins).
+//! Robustness flags: `--deadline-ms N` attaches a deadline budget to
+//! every request in both modes (spent budgets shed at dispatch; the
+//! fleet also rejects infeasible ones at admission). In fleet mode,
+//! `--retries N` re-routes retryably failed chunks to a different shard
+//! up to N extra times with deterministic backoff, and `--hedge` lets
+//! idle shards duplicate straggling peer flights (first terminal outcome
+//! wins).
+//!
+//! Both modes run the same open-loop submitters and the same report
+//! tail; they differ only in how a group is submitted and redeemed
+//! (classic mode submits groups of one).
 //!
 //! ```text
 //! batsolv-serve [--pairs 100] [--threads 4] [--target 100] [--linger-us 0]
@@ -227,7 +232,7 @@ impl Args {
                          --solver: rung-1 variant under Jacobi, one of {}\n\
                          --devices: >= 1 shards traffic over a multi-device fleet\n\
                          --device-profile: one of {}\n\
-                         --deadline-ms: per-request deadline budget (0 = none)\n\
+                         --deadline-ms: per-request deadline budget, both modes (0 = none)\n\
                          --retries: extra attempts after retryable failures (0 = off)\n\
                          --hedge: duplicate straggling flights from idle shards",
                         SolverVariant::NAMES.join(", "),
@@ -245,102 +250,157 @@ impl Args {
     }
 }
 
-/// Fire every workload system at the service from `threads` open-loop
-/// submitters; returns (snapshot, converged, failed, rejected, wall).
+/// What the submitters of one run counted.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    converged: usize,
+    failed: usize,
+    rejected: usize,
+}
+
+impl Tally {
+    fn add(self, o: Tally) -> Tally {
+        Tally {
+            converged: self.converged + o.converged,
+            failed: self.failed + o.failed,
+            rejected: self.rejected + o.rejected,
+        }
+    }
+}
+
+/// Fire every workload system at a serving core from `--threads`
+/// open-loop submitters, in groups of `group_size`. `submit` hands one
+/// group to the core and returns its ticket; `redeem` waits on a ticket
+/// and counts its members' outcomes. Every `--stats-interval-ms` the
+/// `live_page` is printed (0 = only at shutdown). Returns the tally and
+/// the wall time.
+fn fire<K>(
+    workload: &XgcWorkload,
+    args: &Args,
+    group_size: usize,
+    submit: impl Fn(Vec<SolveRequest>) -> Result<K, SubmitError> + Sync,
+    redeem: impl Fn(K) -> Tally + Sync,
+    live_page: impl Fn() -> String + Sync,
+) -> (Tally, Duration) {
+    let total = workload.num_systems();
+    let groups: Vec<(usize, usize)> = (0..total)
+        .step_by(group_size)
+        .map(|start| (start, (start + group_size).min(total)))
+        .collect();
+    let deadline = (args.deadline_ms > 0).then(|| Duration::from_millis(args.deadline_ms));
+    let gap = Duration::from_secs_f64(args.threads as f64 / args.rate);
+    let stop_stats = AtomicBool::new(false);
+    let started = Instant::now();
+    let tally = thread::scope(|scope| {
+        if args.stats_interval_ms > 0 {
+            let every = Duration::from_millis(args.stats_interval_ms);
+            let (stop, live_page) = (&stop_stats, &live_page);
+            scope.spawn(move || loop {
+                thread::sleep(every);
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                println!("{}", live_page());
+            });
+        }
+        let handles: Vec<_> = (0..args.threads)
+            .map(|t| {
+                // Round-robin partition of the group stream across submitters.
+                let mine: Vec<(usize, usize)> = groups
+                    .iter()
+                    .skip(t)
+                    .step_by(args.threads)
+                    .copied()
+                    .collect();
+                let (submit, redeem) = (&submit, &redeem);
+                scope.spawn(move || {
+                    let mut tally = Tally::default();
+                    let mut tickets = Vec::with_capacity(mine.len());
+                    for (start, end) in mine {
+                        let group: Vec<SolveRequest> = (start..end)
+                            .map(|i| {
+                                let sys = workload.system(i);
+                                let req = SolveRequest::new(sys.values.to_vec(), sys.rhs.to_vec())
+                                    .with_guess(sys.warm_guess.to_vec());
+                                match deadline {
+                                    Some(d) => req.with_deadline(d),
+                                    None => req,
+                                }
+                            })
+                            .collect();
+                        let size = group.len();
+                        match submit(group) {
+                            Ok(ticket) => tickets.push(ticket),
+                            Err(
+                                SubmitError::QueueFull { .. }
+                                | SubmitError::CircuitOpen { .. }
+                                | SubmitError::Infeasible { .. },
+                            ) => tally.rejected += size,
+                            Err(e) => {
+                                eprintln!("submit error: {e}");
+                                tally.rejected += size;
+                            }
+                        }
+                        // Open loop: pace arrivals, never wait on outcomes.
+                        thread::sleep(gap * size as u32);
+                    }
+                    tickets.into_iter().map(redeem).fold(tally, Tally::add)
+                })
+            })
+            .collect();
+        let tally = handles
+            .into_iter()
+            .map(|h| h.join().expect("submitter panicked"))
+            .fold(Tally::default(), Tally::add);
+        stop_stats.store(true, Ordering::Relaxed);
+        tally
+    });
+    (tally, started.elapsed())
+}
+
+/// Count one member outcome.
+fn outcome<T, E>(o: &Result<T, E>) -> Tally {
+    Tally {
+        converged: o.is_ok() as usize,
+        failed: o.is_err() as usize,
+        rejected: 0,
+    }
+}
+
+/// Classic mode: requests one at a time to a `SolveService` that batches
+/// them up to `target`.
 fn drive(
     workload: &XgcWorkload,
     args: &Args,
     target: usize,
     tracer: Tracer,
-) -> (StatsSnapshot, usize, usize, usize, Duration) {
+) -> (StatsSnapshot, Tally, Duration) {
     let config = RuntimeConfig::new(DeviceSpec::v100())
         .with_batch_target(target)
         .with_linger(args.linger)
         .with_queue_capacity(args.queue)
         .with_solver(args.solver)
         .with_tracer(tracer);
-    let service = Arc::new(
-        SolveService::start(Arc::clone(workload.pattern()), config)
-            .expect("service failed to start"),
+    let service = SolveService::start(Arc::clone(workload.pattern()), config)
+        .expect("service failed to start");
+    let (tally, wall) = fire(
+        workload,
+        args,
+        1,
+        |mut group| service.submit(group.remove(0)),
+        |ticket| outcome(&ticket.wait()),
+        || format!("--- live metrics ---\n{}", service.prometheus()),
     );
-    // Periodic live telemetry: print the Prometheus page of the running
-    // snapshot at the configured cadence (0 = only at shutdown).
-    let stop_stats = Arc::new(AtomicBool::new(false));
-    let stats_printer = (args.stats_interval_ms > 0).then(|| {
-        let service = Arc::clone(&service);
-        let stop = Arc::clone(&stop_stats);
-        let every = Duration::from_millis(args.stats_interval_ms);
-        thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                thread::sleep(every);
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                println!("--- live metrics ---\n{}", service.prometheus());
-            }
-        })
-    });
-    let total = workload.num_systems();
-    let gap = Duration::from_secs_f64(args.threads as f64 / args.rate);
-    let started = Instant::now();
-    let (converged, failed, rejected) = thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..args.threads {
-            let service = Arc::clone(&service);
-            // Round-robin partition of the batch across submitters.
-            let indices: Vec<usize> = (t..total).step_by(args.threads).collect();
-            handles.push(scope.spawn(move || {
-                let mut converged = 0usize;
-                let mut failed = 0usize;
-                let mut rejected = 0usize;
-                let mut tickets = Vec::with_capacity(indices.len());
-                for i in indices {
-                    let sys = workload.system(i);
-                    let req = SolveRequest::new(sys.values.to_vec(), sys.rhs.to_vec())
-                        .with_guess(sys.warm_guess.to_vec());
-                    match service.submit(req) {
-                        Ok(ticket) => tickets.push(ticket),
-                        Err(SubmitError::QueueFull { .. }) => rejected += 1,
-                        Err(e) => {
-                            eprintln!("submit error: {e}");
-                            rejected += 1;
-                        }
-                    }
-                    // Open loop: pace arrivals, never wait on outcomes.
-                    thread::sleep(gap);
-                }
-                for ticket in tickets {
-                    match ticket.wait() {
-                        Ok(_) => converged += 1,
-                        Err(_) => failed += 1,
-                    }
-                }
-                (converged, failed, rejected)
-            }));
-        }
-        handles.into_iter().fold((0, 0, 0), |acc, h| {
-            let (c, f, r) = h.join().expect("submitter panicked");
-            (acc.0 + c, acc.1 + f, acc.2 + r)
-        })
-    });
-    let wall = started.elapsed();
-    stop_stats.store(true, Ordering::Relaxed);
-    if let Some(h) = stats_printer {
-        let _ = h.join();
-    }
-    let service = Arc::into_inner(service).expect("submitters hold no service refs");
-    let stats = service.shutdown();
-    (stats, converged, failed, rejected, wall)
+    (service.shutdown(), tally, wall)
 }
 
-/// Fleet mode: fire groups of `--target` systems at a sharded
-/// `FleetService`; returns (snapshot, converged, failed, rejected, wall).
+/// Fleet mode: groups of `--target` systems to a sharded `FleetService`.
 fn drive_fleet(
     workload: &XgcWorkload,
     args: &Args,
     steal: bool,
     tracer: Tracer,
-) -> (FleetSnapshot, usize, usize, usize, Duration) {
+) -> (FleetSnapshot, Tally, Duration) {
     let retry = if args.retries > 0 {
         // `--retries N` = N extra attempts on top of the first execution.
         RetryPolicy::new(args.retries + 1)
@@ -363,100 +423,24 @@ fn drive_fleet(
     // GPU shards run the chosen rung-1 variant; the CPU spill pool stays
     // on the banded-LU baseline.
     config.ladder.solver = args.solver;
-    let service = Arc::new(
-        FleetService::start(Arc::clone(workload.pattern()), config).expect("fleet failed to start"),
-    );
-    // Periodic live telemetry: the per-shard breakdown (queue depth,
-    // breaker state, steals in/out) at the configured cadence.
-    let stop_stats = Arc::new(AtomicBool::new(false));
-    let stats_printer = (args.stats_interval_ms > 0).then(|| {
-        let service = Arc::clone(&service);
-        let stop = Arc::clone(&stop_stats);
-        let every = Duration::from_millis(args.stats_interval_ms);
-        thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                thread::sleep(every);
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                println!("--- live fleet stats ---\n{}", service.snapshot().render());
-            }
-        })
-    });
-    let total = workload.num_systems();
-    let group_size = args.target.max(1);
-    let groups: Vec<(usize, usize)> = (0..total)
-        .step_by(group_size)
-        .map(|start| (start, (start + group_size).min(total)))
-        .collect();
-    let gap = Duration::from_secs_f64(args.threads as f64 / args.rate);
-    let started = Instant::now();
-    let (converged, failed, rejected) = thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..args.threads {
-            let service = Arc::clone(&service);
-            // Round-robin partition of the group stream across submitters.
-            let mine: Vec<(usize, usize)> = groups
+    let service =
+        FleetService::start(Arc::clone(workload.pattern()), config).expect("fleet failed to start");
+    let (tally, wall) = fire(
+        workload,
+        args,
+        args.target.max(1),
+        |group| service.submit_group(group, None),
+        |ticket| {
+            ticket
+                .wait_all()
                 .iter()
-                .skip(t)
-                .step_by(args.threads)
-                .copied()
-                .collect();
-            handles.push(scope.spawn(move || {
-                let mut rejected = 0usize;
-                let mut tickets = Vec::with_capacity(mine.len());
-                for (start, end) in mine {
-                    let group: Vec<SolveRequest> = (start..end)
-                        .map(|i| {
-                            let sys = workload.system(i);
-                            let mut req = SolveRequest::new(sys.values.to_vec(), sys.rhs.to_vec())
-                                .with_guess(sys.warm_guess.to_vec());
-                            if args.deadline_ms > 0 {
-                                req = req.with_deadline(Duration::from_millis(args.deadline_ms));
-                            }
-                            req
-                        })
-                        .collect();
-                    let size = group.len();
-                    match service.submit_group(group, None) {
-                        Ok(ticket) => tickets.push(ticket),
-                        Err(SubmitError::QueueFull { .. })
-                        | Err(SubmitError::CircuitOpen { .. })
-                        | Err(SubmitError::Infeasible { .. }) => rejected += size,
-                        Err(e) => {
-                            eprintln!("submit error: {e}");
-                            rejected += size;
-                        }
-                    }
-                    // Open loop: pace arrivals, never wait on outcomes.
-                    thread::sleep(gap * size as u32);
-                }
-                let mut converged = 0usize;
-                let mut failed = 0usize;
-                for ticket in tickets {
-                    for outcome in ticket.wait_all() {
-                        match outcome {
-                            Ok(_) => converged += 1,
-                            Err(_) => failed += 1,
-                        }
-                    }
-                }
-                (converged, failed, rejected)
-            }));
-        }
-        handles.into_iter().fold((0, 0, 0), |acc, h| {
-            let (c, f, r) = h.join().expect("submitter panicked");
-            (acc.0 + c, acc.1 + f, acc.2 + r)
-        })
-    });
-    let wall = started.elapsed();
-    stop_stats.store(true, Ordering::Relaxed);
-    if let Some(h) = stats_printer {
-        let _ = h.join();
-    }
-    let service = Arc::into_inner(service).expect("submitters hold no service refs");
-    let snap = service.shutdown();
-    (snap, converged, failed, rejected, wall)
+                .map(outcome)
+                .fold(Tally::default(), Tally::add)
+        },
+        // The per-shard breakdown: queue depth, breaker state, steals.
+        || format!("--- live fleet stats ---\n{}", service.snapshot().render()),
+    );
+    (service.shutdown(), tally, wall)
 }
 
 /// Aggregate the captured event stream into the phase-ledger report and
@@ -532,9 +516,56 @@ fn main() {
         (Some(s), Some(r)) => Tracer::with_flight_recorder(s, Arc::clone(r)),
     };
 
+    // The report tail both modes share: the tally line, the final
+    // snapshot, then every requested output file — the trace, the
+    // phase-ledger report, the Prometheus page `metrics_page` renders,
+    // and the flight recorder's dump.
+    let report =
+        |tally: Tally, wall: Duration, render: String, metrics_page: &dyn Fn() -> String| {
+            println!(
+                "wall {:.2}s: {} converged, {} failed, {} rejected at submission",
+                wall.as_secs_f64(),
+                tally.converged,
+                tally.failed,
+                tally.rejected
+            );
+            print!("{render}");
+
+            tracer.flush();
+            if let Some(path) = &args.trace_out {
+                println!("trace written to {}", path.display());
+            }
+            if let (Some(path), Some(mem)) = (&args.profile_out, &profile_sink) {
+                write_profile_report(path, mem);
+            }
+            if let Some(path) = &args.metrics_out {
+                std::fs::write(path, metrics_page()).unwrap_or_else(|e| {
+                    eprintln!("cannot write metrics file {}: {e}", path.display());
+                    std::process::exit(2);
+                });
+                println!("metrics written to {}", path.display());
+            }
+            if let Some(r) = &recorder {
+                match r.last_dump() {
+                    Some(dump) => {
+                        let path = PathBuf::from("flight_dump.jsonl");
+                        std::fs::write(&path, dump.to_jsonl()).unwrap_or_else(|e| {
+                            eprintln!("cannot write flight dump {}: {e}", path.display());
+                            std::process::exit(2);
+                        });
+                        println!(
+                            "flight recorder dumped ({}): {}",
+                            dump.reason,
+                            path.display()
+                        );
+                    }
+                    None => println!("flight recorder armed; no dump was triggered"),
+                }
+            }
+        };
+
     if args.devices > 0 {
-        let (snap, converged, failed, rejected, wall) =
-            drive_fleet(&workload, &args, args.steal, tracer.clone());
+        let (snap, tally, wall) = drive_fleet(&workload, &args, args.steal, tracer.clone());
         println!(
             "\n--- fleet: {} x {} shards + cpu pool (groups of {}, min batch {}, steal {}, \
              deadline {}, retries {}, hedge {}) ---",
@@ -543,51 +574,11 @@ fn main() {
             args.target.max(1),
             args.min_batch_size,
             if args.steal { "on" } else { "off" },
-            if args.deadline_ms > 0 {
-                format!("{} ms", args.deadline_ms)
-            } else {
-                "off".to_string()
-            },
+            deadline_label(&args),
             args.retries,
             if args.hedge { "on" } else { "off" }
         );
-        println!(
-            "wall {:.2}s: {converged} converged, {failed} failed, {rejected} rejected at submission",
-            wall.as_secs_f64()
-        );
-        print!("{}", snap.render());
-
-        tracer.flush();
-        if let Some(path) = &args.trace_out {
-            println!("trace written to {}", path.display());
-        }
-        if let (Some(path), Some(mem)) = (&args.profile_out, &profile_sink) {
-            write_profile_report(path, mem);
-        }
-        if let Some(path) = &args.metrics_out {
-            std::fs::write(path, fleet_prometheus_text(&snap)).unwrap_or_else(|e| {
-                eprintln!("cannot write metrics file {}: {e}", path.display());
-                std::process::exit(2);
-            });
-            println!("metrics written to {}", path.display());
-        }
-        if let Some(r) = &recorder {
-            match r.last_dump() {
-                Some(dump) => {
-                    let path = PathBuf::from("flight_dump.jsonl");
-                    std::fs::write(&path, dump.to_jsonl()).unwrap_or_else(|e| {
-                        eprintln!("cannot write flight dump {}: {e}", path.display());
-                        std::process::exit(2);
-                    });
-                    println!(
-                        "flight recorder dumped ({}): {}",
-                        dump.reason,
-                        path.display()
-                    );
-                }
-                None => println!("flight recorder armed; no dump was triggered"),
-            }
-        }
+        report(tally, wall, snap.render(), &|| fleet_prometheus_text(&snap));
 
         if args.compare {
             // Baseline: the same stream with stealing toggled the other way.
@@ -609,50 +600,14 @@ fn main() {
         return;
     }
 
-    let (stats, converged, failed, rejected, wall) =
-        drive(&workload, &args, args.target, tracer.clone());
+    let (stats, tally, wall) = drive(&workload, &args, args.target, tracer.clone());
     println!(
-        "\n--- batch target {} (linger {} us) ---",
+        "\n--- batch target {} (linger {} us, deadline {}) ---",
         args.target,
-        args.linger.as_micros()
+        args.linger.as_micros(),
+        deadline_label(&args)
     );
-    println!(
-        "wall {:.2}s: {converged} converged, {failed} failed, {rejected} rejected at submission",
-        wall.as_secs_f64()
-    );
-    print!("{}", stats.render());
-
-    tracer.flush();
-    if let Some(path) = &args.trace_out {
-        println!("trace written to {}", path.display());
-    }
-    if let (Some(path), Some(mem)) = (&args.profile_out, &profile_sink) {
-        write_profile_report(path, mem);
-    }
-    if let Some(path) = &args.metrics_out {
-        std::fs::write(path, prometheus_text(&stats)).unwrap_or_else(|e| {
-            eprintln!("cannot write metrics file {}: {e}", path.display());
-            std::process::exit(2);
-        });
-        println!("metrics written to {}", path.display());
-    }
-    if let Some(r) = &recorder {
-        match r.last_dump() {
-            Some(dump) => {
-                let path = PathBuf::from("flight_dump.jsonl");
-                std::fs::write(&path, dump.to_jsonl()).unwrap_or_else(|e| {
-                    eprintln!("cannot write flight dump {}: {e}", path.display());
-                    std::process::exit(2);
-                });
-                println!(
-                    "flight recorder dumped ({}): {}",
-                    dump.reason,
-                    path.display()
-                );
-            }
-            None => println!("flight recorder armed; no dump was triggered"),
-        }
-    }
+    report(tally, wall, stats.render(), &|| prometheus_text(&stats));
 
     if args.compare {
         let (base, ..) = drive(&workload, &args, 1, Tracer::disabled());
@@ -666,5 +621,13 @@ fn main() {
             base_rate,
             rate / base_rate
         );
+    }
+}
+
+fn deadline_label(args: &Args) -> String {
+    if args.deadline_ms > 0 {
+        format!("{} ms", args.deadline_ms)
+    } else {
+        "off".to_string()
     }
 }

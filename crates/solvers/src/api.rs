@@ -1,7 +1,7 @@
 //! A common entry point over the batched iterative solvers.
 //!
 //! Every Krylov/fixed-point solver in this crate exposes the same
-//! `solve(device, a, b, x)` shape, but as inherent methods on five
+//! `solve(device, a, b, x)` shape, but as inherent methods on seven
 //! distinct generic structs. [`IterativeSolver`] names that shape so the
 //! parallel batch executor (and the escalation ladder, and the bench
 //! harness) can be written once, generic over *which* solver runs per
@@ -16,7 +16,7 @@ use batsolv_types::{Result, Scalar};
 use crate::bicgstab::BatchBicgstab;
 use crate::cg::BatchCg;
 use crate::cgs::BatchCgs;
-use crate::common::BatchSolveReport;
+use crate::common::{BatchKernel, BatchSolveReport};
 use crate::gmres::BatchGmres;
 use crate::pipelined_bicgstab::PipelinedBicgstab;
 use crate::pipelined_cg::PipelinedCg;
@@ -42,7 +42,7 @@ pub trait IterativeSolver<T: Scalar>: Send + Sync {
 }
 
 macro_rules! impl_iterative_solver {
-    ($solver:ident, $name:literal) => {
+    ($solver:ident) => {
         impl<T, P, S> IterativeSolver<T> for $solver<T, P, S>
         where
             T: Scalar,
@@ -50,7 +50,7 @@ macro_rules! impl_iterative_solver {
             S: StopCriterion<T>,
         {
             fn name(&self) -> &'static str {
-                $name
+                <Self as BatchKernel<T>>::NAME
             }
 
             fn solve_batch<M: BatchMatrix<T>>(
@@ -66,13 +66,13 @@ macro_rules! impl_iterative_solver {
     };
 }
 
-impl_iterative_solver!(BatchBicgstab, "bicgstab");
-impl_iterative_solver!(BatchCg, "cg");
-impl_iterative_solver!(BatchCgs, "cgs");
-impl_iterative_solver!(BatchGmres, "gmres");
-impl_iterative_solver!(BatchRichardson, "richardson");
-impl_iterative_solver!(PipelinedBicgstab, "pipelined-bicgstab");
-impl_iterative_solver!(PipelinedCg, "pipelined-cg");
+impl_iterative_solver!(BatchBicgstab);
+impl_iterative_solver!(BatchCg);
+impl_iterative_solver!(BatchCgs);
+impl_iterative_solver!(BatchGmres);
+impl_iterative_solver!(BatchRichardson);
+impl_iterative_solver!(PipelinedBicgstab);
+impl_iterative_solver!(PipelinedCg);
 
 #[cfg(test)]
 mod tests {

@@ -13,17 +13,17 @@ use batsolv_blas as blas;
 use batsolv_blas::counts as bc;
 use batsolv_blas::counts::MemSpace;
 use batsolv_formats::{BatchMatrix, BatchVectors};
-use batsolv_gpusim::{run_batch_map_mut, DeviceSpec, SimKernel};
+use batsolv_gpusim::DeviceSpec;
 use batsolv_types::{OpCounts, Result, Scalar};
 
 use crate::common::{
-    assemble_block_stats, placed_spmv_counts, sanitize_block_result, BatchSolveReport, StageCosts,
-    SyncProfile, SystemResult,
+    self, launch, placed_spmv_counts, BatchKernel, BatchSolveReport, StageCosts, SyncProfile,
+    SystemResult,
 };
 use crate::logger::{IterationLogger, NoopLogger};
 use crate::precond::Preconditioner;
 use crate::stop::StopCriterion;
-use crate::workspace::{WorkspacePlan, BICGSTAB_VECTORS};
+use crate::workspace::{VectorSpec, WorkspacePlan, BICGSTAB_VECTORS};
 
 /// Serialized stages in the setup phase (initial residual, copy,
 /// preconditioner generation). Reduction barriers are priced separately
@@ -111,7 +111,7 @@ where
         b: &BatchVectors<T>,
         x: &mut BatchVectors<T>,
     ) -> Result<BatchSolveReport> {
-        self.solve_logged(device, a, b, x, |_| NoopLogger)
+        launch(self, device, a, b, x, |_| NoopLogger)
     }
 
     /// [`Self::solve`] with a per-system logger factory (residual traces).
@@ -128,8 +128,7 @@ where
         L: IterationLogger<T>,
         F: Fn(usize) -> L + Sync + Send,
     {
-        let results = self.run_numerics(a, b, x, make_logger)?;
-        Ok(self.price_results(device, a, results))
+        launch(self, device, a, b, x, make_logger)
     }
 
     /// Numeric phase only: every block runs for real (in parallel) and
@@ -148,29 +147,7 @@ where
         L: IterationLogger<T>,
         F: Fn(usize) -> L + Sync + Send,
     {
-        let dims = a.dims();
-        dims.ensure_same(&b.dims(), "bicgstab b")?;
-        dims.ensure_same(&x.dims(), "bicgstab x")?;
-        let precond = &self.precond;
-        let stop = &self.stop;
-        let max_iters = self.max_iters;
-        let chunks: Vec<&mut [T]> = x.systems_mut().collect();
-        Ok(run_batch_map_mut(chunks, |i, xi| {
-            let mut logger = make_logger(i);
-            let x0 = xi.to_vec();
-            let r = bicgstab_block(
-                a,
-                i,
-                b.system(i),
-                xi,
-                precond,
-                stop,
-                max_iters,
-                self.fused_axpy,
-                &mut logger,
-            );
-            sanitize_block_result(&x0, xi, r)
-        }))
+        common::run_numerics(self, a, b, x, make_logger)
     }
 
     /// Pricing phase only: assemble per-block costs for the given
@@ -183,53 +160,34 @@ where
         a: &M,
         results: Vec<SystemResult>,
     ) -> BatchSolveReport {
-        let n = a.dims().num_rows;
-        let plan = WorkspacePlan::plan::<T>(device.shared_budget_bytes(), n, &BICGSTAB_VECTORS);
-        let (setup, per_iter, ro_req_per_iter) = self.cost_decomposition(a, device, &plan);
-        // Two preconditioner applies per iteration (p̂ and ŝ): a
-        // level-scheduled apply adds its per-level barriers and stages.
-        let p_syncs = self.precond.apply_syncs(n);
-        let p_stages = self.precond.apply_stages(n).saturating_sub(1);
-        let costs = StageCosts {
-            setup,
-            per_iter,
-            setup_stages: SETUP_STAGES,
-            iter_stages: if self.fused_axpy {
-                ITER_STAGES - 1
-            } else {
-                ITER_STAGES
-            } + 2 * p_stages,
-            ro_req_per_iter,
-            sync: if self.fused_axpy { SYNC_FUSED } else { SYNC }.with_precond_applies(2, p_syncs),
-        };
-        let blocks: Vec<_> = results
-            .iter()
-            .map(|r| assemble_block_stats(a, &plan, r, &costs))
-            .collect();
-        let kernel = SimKernel::new(device, plan.shared_bytes)
-            .with_reduction_width(n as u64)
-            .price(&blocks);
-        BatchSolveReport {
-            per_system: results,
-            kernel,
-            plan_description: plan.describe(),
-            shared_per_block: plan.shared_bytes,
-            global_vector_bytes: plan.global_vector_bytes(),
-            solver: "bicgstab",
-            format: a.format_name(),
-            device: device.name,
-            syncs_per_iteration: costs.sync.syncs_per_iteration(),
-        }
+        common::price_results(self, device, a, results)
+    }
+}
+
+impl<T, P, S> BatchKernel<T> for BatchBicgstab<T, P, S>
+where
+    T: Scalar,
+    P: Preconditioner<T>,
+    S: StopCriterion<T>,
+{
+    const NAME: &'static str = "bicgstab";
+    const VECTORS: &'static [VectorSpec] = &BICGSTAB_VECTORS;
+
+    fn block<M, L>(&self, a: &M, i: usize, b: &[T], x: &mut [T], logger: &mut L) -> SystemResult
+    where
+        M: BatchMatrix<T> + ?Sized,
+        L: IterationLogger<T>,
+    {
+        let (precond, stop, cap) = (&self.precond, &self.stop, self.max_iters);
+        bicgstab_block(a, i, b, x, precond, stop, cap, self.fused_axpy, logger)
     }
 
-    /// Per-block cost decomposition: `(setup, per_iteration,
-    /// ro_bytes_requested_per_iteration)`.
-    fn cost_decomposition<M: BatchMatrix<T>>(
+    fn stage_costs<M: BatchMatrix<T>>(
         &self,
         a: &M,
         device: &DeviceSpec,
         plan: &WorkspacePlan,
-    ) -> (OpCounts, OpCounts, u64) {
+    ) -> StageCosts {
         let n = a.dims().num_rows;
         let w = device.warp_size;
         let nnz = a.stored_per_system();
@@ -270,7 +228,22 @@ where
         // structure, touched by both SpMVs.
         let ro_req_per_iter =
             2 * (a.value_bytes_per_system() as u64 + a.shared_index_bytes() as u64);
-        (setup, it, ro_req_per_iter)
+        // Two preconditioner applies per iteration (p̂ and ŝ): a
+        // level-scheduled apply adds its per-level barriers and stages.
+        let p_syncs = self.precond.apply_syncs(n);
+        let p_stages = self.precond.apply_stages(n).saturating_sub(1);
+        StageCosts {
+            setup,
+            per_iter: it,
+            setup_stages: SETUP_STAGES,
+            iter_stages: if self.fused_axpy {
+                ITER_STAGES - 1
+            } else {
+                ITER_STAGES
+            } + 2 * p_stages,
+            ro_req_per_iter,
+            sync: if self.fused_axpy { SYNC_FUSED } else { SYNC }.with_precond_applies(2, p_syncs),
+        }
     }
 }
 

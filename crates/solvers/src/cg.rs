@@ -12,16 +12,17 @@ use batsolv_blas as blas;
 use batsolv_blas::counts as bc;
 use batsolv_blas::counts::MemSpace;
 use batsolv_formats::{BatchMatrix, BatchVectors};
-use batsolv_gpusim::{run_batch_map_mut, DeviceSpec, SimKernel};
+use batsolv_gpusim::DeviceSpec;
 use batsolv_types::{OpCounts, Result, Scalar};
 
 use crate::common::{
-    assemble_block_stats, placed_spmv_counts, sanitize_block_result, BatchSolveReport, StageCosts,
-    SyncProfile, SystemResult,
+    launch, placed_spmv_counts, BatchKernel, BatchSolveReport, StageCosts, SyncProfile,
+    SystemResult,
 };
+use crate::logger::{IterationLogger, NoopLogger};
 use crate::precond::Preconditioner;
 use crate::stop::StopCriterion;
-use crate::workspace::{WorkspacePlan, CG_VECTORS};
+use crate::workspace::{VectorSpec, WorkspacePlan, CG_VECTORS};
 
 /// Reduction barriers are priced separately via [`SyncProfile`];
 /// stage counts cover only the dependent vector operations.
@@ -91,64 +92,122 @@ where
         b: &BatchVectors<T>,
         x: &mut BatchVectors<T>,
     ) -> Result<BatchSolveReport> {
-        let dims = a.dims();
-        dims.ensure_same(&b.dims(), "cg b")?;
-        dims.ensure_same(&x.dims(), "cg x")?;
-        let n = dims.num_rows;
-        let plan = WorkspacePlan::plan::<T>(device.shared_budget_bytes(), n, &CG_VECTORS);
+        launch(self, device, a, b, x, |_| NoopLogger)
+    }
+}
 
-        let precond = &self.precond;
-        let stop = &self.stop;
-        let max_iters = self.max_iters;
-        let chunks: Vec<&mut [T]> = x.systems_mut().collect();
-        let fused = self.fused_axpy;
-        let results: Vec<SystemResult> = run_batch_map_mut(chunks, |i, xi| {
-            let x0 = xi.to_vec();
-            let r = cg_block(a, i, b.system(i), xi, precond, stop, max_iters, fused);
-            sanitize_block_result(&x0, xi, r)
-        });
+impl<T, P, S> BatchKernel<T> for BatchCg<T, P, S>
+where
+    T: Scalar,
+    P: Preconditioner<T>,
+    S: StopCriterion<T>,
+{
+    const NAME: &'static str = "cg";
+    const VECTORS: &'static [VectorSpec] = &CG_VECTORS;
 
-        let (setup, per_iter, ro_req) = self.cost_decomposition(a, device, &plan);
-        // One preconditioner apply per iteration plus one at setup: a
-        // level-scheduled apply adds its per-level barriers and stages.
-        let p_syncs = self.precond.apply_syncs(n);
-        let p_stages = self.precond.apply_stages(n).saturating_sub(1);
-        let mut sync = SYNC.with_precond_applies(1, p_syncs);
-        sync.setup_syncs += p_syncs;
-        let costs = StageCosts {
-            setup,
-            per_iter,
-            setup_stages: SETUP_STAGES + p_stages,
-            iter_stages: if fused { ITER_STAGES - 1 } else { ITER_STAGES } + p_stages,
-            ro_req_per_iter: ro_req,
-            sync,
+    /// Per-block preconditioned CG kernel.
+    fn block<M, L>(&self, a: &M, i: usize, b: &[T], x: &mut [T], _: &mut L) -> SystemResult
+    where
+        M: BatchMatrix<T> + ?Sized,
+        L: IterationLogger<T>,
+    {
+        let (precond, stop, max_iters, fused_axpy) =
+            (&self.precond, &self.stop, self.max_iters, self.fused_axpy);
+        let n = b.len();
+        let pstate = match precond.generate(a, i) {
+            Ok(s) => s,
+            Err(_) => {
+                return SystemResult {
+                    iterations: 0,
+                    residual: f64::INFINITY,
+                    converged: false,
+                    breakdown: Some("preconditioner"),
+                }
+            }
         };
-        let blocks: Vec<_> = results
-            .iter()
-            .map(|r| assemble_block_stats(a, &plan, r, &costs))
-            .collect();
-        let kernel = SimKernel::new(device, plan.shared_bytes)
-            .with_reduction_width(n as u64)
-            .price(&blocks);
-        Ok(BatchSolveReport {
-            per_system: results,
-            kernel,
-            plan_description: plan.describe(),
-            shared_per_block: plan.shared_bytes,
-            global_vector_bytes: plan.global_vector_bytes(),
-            solver: "cg",
-            format: a.format_name(),
-            device: device.name,
-            syncs_per_iteration: costs.sync.syncs_per_iteration(),
-        })
+        let mut r = vec![T::ZERO; n];
+        let mut z = vec![T::ZERO; n];
+        let mut p = vec![T::ZERO; n];
+        let mut q = vec![T::ZERO; n];
+
+        a.spmv_system(i, x, &mut r);
+        blas::sub_from(b, &mut r);
+        precond.apply(&pstate, &r, &mut z);
+        blas::copy(&z, &mut p);
+        let mut rz = blas::dot(&r, &z);
+        let bnorm = blas::nrm2(b);
+        let res0 = blas::nrm2(&r);
+        let mut res = res0;
+
+        for iter in 0..max_iters as u32 {
+            if stop.is_converged(res, res0, bnorm) {
+                return SystemResult {
+                    iterations: iter,
+                    residual: res.to_f64(),
+                    converged: true,
+                    breakdown: None,
+                };
+            }
+            a.spmv_system(i, &p, &mut q);
+            let pq = blas::dot(&p, &q);
+            if pq == T::ZERO || !pq.is_finite() {
+                return SystemResult {
+                    iterations: iter,
+                    residual: res.to_f64(),
+                    converged: false,
+                    breakdown: Some("p.q"),
+                };
+            }
+            let alpha = rz / pq;
+            // x ← x + αp ; r ← r − αq. The fused path merges both updates
+            // into one vector pass — IEEE-identical per element.
+            if fused_axpy {
+                // mul_add mirrors blas::axpy's FMA exactly.
+                for k in 0..n {
+                    x[k] = alpha.mul_add(p[k], x[k]);
+                    r[k] = (-alpha).mul_add(q[k], r[k]);
+                }
+            } else {
+                blas::axpy(alpha, &p, x);
+                blas::axpy(-alpha, &q, &mut r);
+            }
+            res = blas::nrm2(&r);
+            if !res.is_finite() {
+                return SystemResult {
+                    iterations: iter + 1,
+                    residual: res.to_f64(),
+                    converged: false,
+                    breakdown: Some("divergence"),
+                };
+            }
+            precond.apply(&pstate, &r, &mut z);
+            let rz_new = blas::dot(&r, &z);
+            if rz == T::ZERO {
+                return SystemResult {
+                    iterations: iter + 1,
+                    residual: res.to_f64(),
+                    converged: false,
+                    breakdown: Some("r.z"),
+                };
+            }
+            let beta = rz_new / rz;
+            rz = rz_new;
+            blas::axpby(T::ONE, &z, beta, &mut p); // p ← z + β p
+        }
+        SystemResult {
+            iterations: max_iters as u32,
+            residual: res.to_f64(),
+            converged: stop.is_converged(res, res0, bnorm),
+            breakdown: None,
+        }
     }
 
-    fn cost_decomposition<M: BatchMatrix<T>>(
+    fn stage_costs<M: BatchMatrix<T>>(
         &self,
         a: &M,
         device: &DeviceSpec,
         plan: &WorkspacePlan,
-    ) -> (OpCounts, OpCounts, u64) {
+    ) -> StageCosts {
         let n = a.dims().num_rows;
         let w = device.warp_size;
         let sp = |name: &str| plan.space_of(name);
@@ -176,114 +235,24 @@ where
 
         // Read-only traffic: one SpMV per iteration.
         let ro = a.value_bytes_per_system() as u64 + a.shared_index_bytes() as u64;
-        (setup, it, ro)
-    }
-}
-
-/// Per-block preconditioned CG kernel.
-#[allow(clippy::too_many_arguments)]
-fn cg_block<T, M, P, S>(
-    a: &M,
-    i: usize,
-    b: &[T],
-    x: &mut [T],
-    precond: &P,
-    stop: &S,
-    max_iters: usize,
-    fused_axpy: bool,
-) -> SystemResult
-where
-    T: Scalar,
-    M: BatchMatrix<T> + ?Sized,
-    P: Preconditioner<T>,
-    S: StopCriterion<T>,
-{
-    let n = b.len();
-    let pstate = match precond.generate(a, i) {
-        Ok(s) => s,
-        Err(_) => {
-            return SystemResult {
-                iterations: 0,
-                residual: f64::INFINITY,
-                converged: false,
-                breakdown: Some("preconditioner"),
-            }
+        // One preconditioner apply per iteration plus one at setup: a
+        // level-scheduled apply adds its per-level barriers and stages.
+        let p_syncs = self.precond.apply_syncs(n);
+        let p_stages = self.precond.apply_stages(n).saturating_sub(1);
+        let mut sync = SYNC.with_precond_applies(1, p_syncs);
+        sync.setup_syncs += p_syncs;
+        StageCosts {
+            setup,
+            per_iter: it,
+            setup_stages: SETUP_STAGES + p_stages,
+            iter_stages: if self.fused_axpy {
+                ITER_STAGES - 1
+            } else {
+                ITER_STAGES
+            } + p_stages,
+            ro_req_per_iter: ro,
+            sync,
         }
-    };
-    let mut r = vec![T::ZERO; n];
-    let mut z = vec![T::ZERO; n];
-    let mut p = vec![T::ZERO; n];
-    let mut q = vec![T::ZERO; n];
-
-    a.spmv_system(i, x, &mut r);
-    blas::sub_from(b, &mut r);
-    precond.apply(&pstate, &r, &mut z);
-    blas::copy(&z, &mut p);
-    let mut rz = blas::dot(&r, &z);
-    let bnorm = blas::nrm2(b);
-    let res0 = blas::nrm2(&r);
-    let mut res = res0;
-
-    for iter in 0..max_iters as u32 {
-        if stop.is_converged(res, res0, bnorm) {
-            return SystemResult {
-                iterations: iter,
-                residual: res.to_f64(),
-                converged: true,
-                breakdown: None,
-            };
-        }
-        a.spmv_system(i, &p, &mut q);
-        let pq = blas::dot(&p, &q);
-        if pq == T::ZERO || !pq.is_finite() {
-            return SystemResult {
-                iterations: iter,
-                residual: res.to_f64(),
-                converged: false,
-                breakdown: Some("p.q"),
-            };
-        }
-        let alpha = rz / pq;
-        // x ← x + αp ; r ← r − αq. The fused path merges both updates
-        // into one vector pass — IEEE-identical per element.
-        if fused_axpy {
-            // mul_add mirrors blas::axpy's FMA exactly.
-            for k in 0..n {
-                x[k] = alpha.mul_add(p[k], x[k]);
-                r[k] = (-alpha).mul_add(q[k], r[k]);
-            }
-        } else {
-            blas::axpy(alpha, &p, x);
-            blas::axpy(-alpha, &q, &mut r);
-        }
-        res = blas::nrm2(&r);
-        if !res.is_finite() {
-            return SystemResult {
-                iterations: iter + 1,
-                residual: res.to_f64(),
-                converged: false,
-                breakdown: Some("divergence"),
-            };
-        }
-        precond.apply(&pstate, &r, &mut z);
-        let rz_new = blas::dot(&r, &z);
-        if rz == T::ZERO {
-            return SystemResult {
-                iterations: iter + 1,
-                residual: res.to_f64(),
-                converged: false,
-                breakdown: Some("r.z"),
-            };
-        }
-        let beta = rz_new / rz;
-        rz = rz_new;
-        blas::axpby(T::ONE, &z, beta, &mut p); // p ← z + β p
-    }
-    SystemResult {
-        iterations: max_iters as u32,
-        residual: res.to_f64(),
-        converged: stop.is_converged(res, res0, bnorm),
-        breakdown: None,
     }
 }
 

@@ -13,13 +13,14 @@ use batsolv_blas as blas;
 use batsolv_blas::counts as bc;
 use batsolv_blas::counts::MemSpace;
 use batsolv_formats::{BatchMatrix, BatchVectors};
-use batsolv_gpusim::{run_batch_map_mut, DeviceSpec, SimKernel};
+use batsolv_gpusim::DeviceSpec;
 use batsolv_types::{OpCounts, Result, Scalar};
 
 use crate::common::{
-    assemble_block_stats, placed_spmv_counts, sanitize_block_result, BatchSolveReport, StageCosts,
-    SyncProfile, SystemResult,
+    launch, placed_spmv_counts, BatchKernel, BatchSolveReport, StageCosts, SyncProfile,
+    SystemResult,
 };
+use crate::logger::{IterationLogger, NoopLogger};
 use crate::precond::Preconditioner;
 use crate::stop::StopCriterion;
 use crate::workspace::{VectorClass, VectorSpec, WorkspacePlan};
@@ -90,58 +91,128 @@ where
         b: &BatchVectors<T>,
         x: &mut BatchVectors<T>,
     ) -> Result<BatchSolveReport> {
-        let dims = a.dims();
-        dims.ensure_same(&b.dims(), "cgs b")?;
-        dims.ensure_same(&x.dims(), "cgs x")?;
-        let n = dims.num_rows;
-        let plan = WorkspacePlan::plan::<T>(device.shared_budget_bytes(), n, &CGS_VECTORS);
+        launch(self, device, a, b, x, |_| NoopLogger)
+    }
+}
 
+impl<T, P, S> BatchKernel<T> for BatchCgs<T, P, S>
+where
+    T: Scalar,
+    P: Preconditioner<T>,
+    S: StopCriterion<T>,
+{
+    const NAME: &'static str = "cgs";
+    const VECTORS: &'static [VectorSpec] = &CGS_VECTORS;
+
+    /// Per-block preconditioned CGS kernel (Sonneveld's algorithm).
+    fn block<M, L>(&self, a: &M, i: usize, b: &[T], x: &mut [T], _: &mut L) -> SystemResult
+    where
+        M: BatchMatrix<T> + ?Sized,
+        L: IterationLogger<T>,
+    {
         let (precond, stop, max_iters) = (&self.precond, &self.stop, self.max_iters);
-        let chunks: Vec<&mut [T]> = x.systems_mut().collect();
-        let results: Vec<SystemResult> = run_batch_map_mut(chunks, |i, xi| {
-            let x0 = xi.to_vec();
-            let r = cgs_block(a, i, b.system(i), xi, precond, stop, max_iters);
-            sanitize_block_result(&x0, xi, r)
-        });
-
-        let (setup, per_iter, ro_req) = self.cost_decomposition(a, device, &plan);
-        // Two preconditioner applies per iteration (û and q̂).
-        let p_syncs = self.precond.apply_syncs(n);
-        let p_stages = self.precond.apply_stages(n).saturating_sub(1);
-        let costs = StageCosts {
-            setup,
-            per_iter,
-            setup_stages: SETUP_STAGES,
-            iter_stages: ITER_STAGES + 2 * p_stages,
-            ro_req_per_iter: ro_req,
-            sync: SYNC.with_precond_applies(2, p_syncs),
+        let n = b.len();
+        let pstate = match precond.generate(a, i) {
+            Ok(s) => s,
+            Err(_) => {
+                return SystemResult {
+                    iterations: 0,
+                    residual: f64::INFINITY,
+                    converged: false,
+                    breakdown: Some("preconditioner"),
+                }
+            }
         };
-        let blocks: Vec<_> = results
-            .iter()
-            .map(|r| assemble_block_stats(a, &plan, r, &costs))
-            .collect();
-        let kernel = SimKernel::new(device, plan.shared_bytes)
-            .with_reduction_width(n as u64)
-            .price(&blocks);
-        Ok(BatchSolveReport {
-            per_system: results,
-            kernel,
-            plan_description: plan.describe(),
-            shared_per_block: plan.shared_bytes,
-            global_vector_bytes: plan.global_vector_bytes(),
-            solver: "cgs",
-            format: a.format_name(),
-            device: device.name,
-            syncs_per_iteration: SYNC.syncs_per_iteration(),
-        })
+        let mut r = vec![T::ZERO; n];
+        let mut r_hat = vec![T::ZERO; n];
+        let mut p = vec![T::ZERO; n];
+        let mut p_hat = vec![T::ZERO; n];
+        let mut u = vec![T::ZERO; n];
+        let mut uq_hat = vec![T::ZERO; n];
+        let mut q = vec![T::ZERO; n];
+        let mut v = vec![T::ZERO; n];
+
+        a.spmv_system(i, x, &mut r);
+        blas::sub_from(b, &mut r);
+        blas::copy(&r, &mut r_hat);
+        let bnorm = blas::nrm2(b);
+        let res0 = blas::nrm2(&r);
+        let mut res = res0;
+        let mut rho_prev = T::ONE;
+
+        for iter in 0..max_iters as u32 {
+            if stop.is_converged(res, res0, bnorm) {
+                return SystemResult {
+                    iterations: iter,
+                    residual: res.to_f64(),
+                    converged: true,
+                    breakdown: None,
+                };
+            }
+            let rho = blas::dot(&r_hat, &r);
+            if rho == T::ZERO || !rho.is_finite() {
+                return SystemResult {
+                    iterations: iter,
+                    residual: res.to_f64(),
+                    converged: false,
+                    breakdown: Some("rho"),
+                };
+            }
+            let beta = rho / rho_prev;
+            // u = r + beta q; p = u + beta (q + beta p)
+            for k in 0..n {
+                u[k] = r[k] + beta * q[k];
+                p[k] = u[k] + beta * (q[k] + beta * p[k]);
+            }
+            precond.apply(&pstate, &p, &mut p_hat);
+            a.spmv_system(i, &p_hat, &mut v);
+            let sigma = blas::dot(&r_hat, &v);
+            if sigma == T::ZERO || !sigma.is_finite() {
+                return SystemResult {
+                    iterations: iter,
+                    residual: res.to_f64(),
+                    converged: false,
+                    breakdown: Some("sigma"),
+                };
+            }
+            let alpha = rho / sigma;
+            // q = u - alpha v; correction = M^{-1}(u + q)
+            for k in 0..n {
+                q[k] = u[k] - alpha * v[k];
+                uq_hat[k] = u[k] + q[k];
+            }
+            let uq = uq_hat.clone();
+            precond.apply(&pstate, &uq, &mut uq_hat);
+            a.spmv_system(i, &uq_hat, &mut v);
+            for k in 0..n {
+                x[k] += alpha * uq_hat[k];
+                r[k] -= alpha * v[k];
+            }
+            res = blas::nrm2(&r);
+            if !res.is_finite() {
+                return SystemResult {
+                    iterations: iter + 1,
+                    residual: res.to_f64(),
+                    converged: false,
+                    breakdown: Some("divergence"),
+                };
+            }
+            rho_prev = rho;
+        }
+        SystemResult {
+            iterations: max_iters as u32,
+            residual: res.to_f64(),
+            converged: stop.is_converged(res, res0, bnorm),
+            breakdown: None,
+        }
     }
 
-    fn cost_decomposition<M: BatchMatrix<T>>(
+    fn stage_costs<M: BatchMatrix<T>>(
         &self,
         a: &M,
         device: &DeviceSpec,
         plan: &WorkspacePlan,
-    ) -> (OpCounts, OpCounts, u64) {
+    ) -> StageCosts {
         let n = a.dims().num_rows;
         let w = device.warp_size;
         let sp = |name: &str| plan.space_of(name);
@@ -170,119 +241,17 @@ where
         it += bc::axpy_counts::<T>(n, sp("v"), sp("r"), w);
 
         let ro = 2 * (a.value_bytes_per_system() as u64 + a.shared_index_bytes() as u64);
-        (setup, it, ro)
-    }
-}
-
-/// Per-block preconditioned CGS kernel (Sonneveld's algorithm).
-fn cgs_block<T, M, P, S>(
-    a: &M,
-    i: usize,
-    b: &[T],
-    x: &mut [T],
-    precond: &P,
-    stop: &S,
-    max_iters: usize,
-) -> SystemResult
-where
-    T: Scalar,
-    M: BatchMatrix<T> + ?Sized,
-    P: Preconditioner<T>,
-    S: StopCriterion<T>,
-{
-    let n = b.len();
-    let pstate = match precond.generate(a, i) {
-        Ok(s) => s,
-        Err(_) => {
-            return SystemResult {
-                iterations: 0,
-                residual: f64::INFINITY,
-                converged: false,
-                breakdown: Some("preconditioner"),
-            }
+        // Two preconditioner applies per iteration (û and q̂).
+        let p_syncs = self.precond.apply_syncs(n);
+        let p_stages = self.precond.apply_stages(n).saturating_sub(1);
+        StageCosts {
+            setup,
+            per_iter: it,
+            setup_stages: SETUP_STAGES,
+            iter_stages: ITER_STAGES + 2 * p_stages,
+            ro_req_per_iter: ro,
+            sync: SYNC.with_precond_applies(2, p_syncs),
         }
-    };
-    let mut r = vec![T::ZERO; n];
-    let mut r_hat = vec![T::ZERO; n];
-    let mut p = vec![T::ZERO; n];
-    let mut p_hat = vec![T::ZERO; n];
-    let mut u = vec![T::ZERO; n];
-    let mut uq_hat = vec![T::ZERO; n];
-    let mut q = vec![T::ZERO; n];
-    let mut v = vec![T::ZERO; n];
-
-    a.spmv_system(i, x, &mut r);
-    blas::sub_from(b, &mut r);
-    blas::copy(&r, &mut r_hat);
-    let bnorm = blas::nrm2(b);
-    let res0 = blas::nrm2(&r);
-    let mut res = res0;
-    let mut rho_prev = T::ONE;
-
-    for iter in 0..max_iters as u32 {
-        if stop.is_converged(res, res0, bnorm) {
-            return SystemResult {
-                iterations: iter,
-                residual: res.to_f64(),
-                converged: true,
-                breakdown: None,
-            };
-        }
-        let rho = blas::dot(&r_hat, &r);
-        if rho == T::ZERO || !rho.is_finite() {
-            return SystemResult {
-                iterations: iter,
-                residual: res.to_f64(),
-                converged: false,
-                breakdown: Some("rho"),
-            };
-        }
-        let beta = rho / rho_prev;
-        // u = r + beta q; p = u + beta (q + beta p)
-        for k in 0..n {
-            u[k] = r[k] + beta * q[k];
-            p[k] = u[k] + beta * (q[k] + beta * p[k]);
-        }
-        precond.apply(&pstate, &p, &mut p_hat);
-        a.spmv_system(i, &p_hat, &mut v);
-        let sigma = blas::dot(&r_hat, &v);
-        if sigma == T::ZERO || !sigma.is_finite() {
-            return SystemResult {
-                iterations: iter,
-                residual: res.to_f64(),
-                converged: false,
-                breakdown: Some("sigma"),
-            };
-        }
-        let alpha = rho / sigma;
-        // q = u - alpha v; correction = M^{-1}(u + q)
-        for k in 0..n {
-            q[k] = u[k] - alpha * v[k];
-            uq_hat[k] = u[k] + q[k];
-        }
-        let uq = uq_hat.clone();
-        precond.apply(&pstate, &uq, &mut uq_hat);
-        a.spmv_system(i, &uq_hat, &mut v);
-        for k in 0..n {
-            x[k] += alpha * uq_hat[k];
-            r[k] -= alpha * v[k];
-        }
-        res = blas::nrm2(&r);
-        if !res.is_finite() {
-            return SystemResult {
-                iterations: iter + 1,
-                residual: res.to_f64(),
-                converged: false,
-                breakdown: Some("divergence"),
-            };
-        }
-        rho_prev = rho;
-    }
-    SystemResult {
-        iterations: max_iters as u32,
-        residual: res.to_f64(),
-        converged: stop.is_converged(res, res0, bnorm),
-        breakdown: None,
     }
 }
 

@@ -1,11 +1,15 @@
-//! Shared report types and cost-assembly helpers for the batched solvers.
+//! Shared report types, cost-assembly helpers and the one launch shell
+//! every batched solver runs in.
 
 use batsolv_blas::counts::MemSpace;
-use batsolv_formats::BatchMatrix;
-use batsolv_gpusim::{BlockStats, KernelReport, TrafficProfile};
-use batsolv_types::{OpCounts, Scalar};
+use batsolv_formats::{BatchMatrix, BatchVectors};
+use batsolv_gpusim::{
+    run_batch_map_mut, BlockStats, DeviceSpec, KernelReport, SimKernel, TrafficProfile,
+};
+use batsolv_types::{OpCounts, Result, Scalar};
 
-use crate::workspace::WorkspacePlan;
+use crate::logger::IterationLogger;
+use crate::workspace::{VectorSpec, WorkspacePlan};
 
 /// Convergence record of one system of the batch.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -249,6 +253,149 @@ pub fn assemble_block_stats<T: Scalar, M: BatchMatrix<T> + ?Sized>(
             shared_bytes: counts.shared_read_bytes + counts.shared_write_bytes,
         },
     }
+}
+
+/// What an iterative solver supplies to the launch shell: its name, its
+/// workspace vectors, its per-system kernel and its cost decomposition.
+/// [`launch`], [`run_numerics`] and [`price_results`] do the rest, the
+/// same way for every solver.
+pub(crate) trait BatchKernel<T: Scalar>: Sync {
+    /// Solver name in reports and dimension errors.
+    const NAME: &'static str;
+    /// The workspace vectors the planner places in shared or global
+    /// memory.
+    const VECTORS: &'static [VectorSpec];
+
+    /// Solve system `i` in place from the initial guess in `x`. Kernels
+    /// that keep no residual history ignore `logger`.
+    fn block<M, L>(&self, a: &M, i: usize, b: &[T], x: &mut [T], logger: &mut L) -> SystemResult
+    where
+        M: BatchMatrix<T> + ?Sized,
+        L: IterationLogger<T>;
+
+    /// Setup and per-iteration costs under the workspace `plan`.
+    fn stage_costs<M: BatchMatrix<T>>(
+        &self,
+        a: &M,
+        device: &DeviceSpec,
+        plan: &WorkspacePlan,
+    ) -> StageCosts;
+}
+
+/// The run half of the launch shell, shared with the direct solvers:
+/// check `b` and `x` against `a`'s dims, then run `block(i, b_i, x_i)`
+/// on every system (in parallel, results in batch order) and pass each
+/// result through [`sanitize_block_result`] against a snapshot of the
+/// incoming `x_i`.
+pub(crate) fn run_blocks<T, M, F>(
+    name: &str,
+    a: &M,
+    b: &BatchVectors<T>,
+    x: &mut BatchVectors<T>,
+    block: F,
+) -> Result<Vec<SystemResult>>
+where
+    T: Scalar,
+    M: BatchMatrix<T>,
+    F: Fn(usize, &[T], &mut [T]) -> SystemResult + Sync + Send,
+{
+    let dims = a.dims();
+    // The error context is formatted only on a mismatch, so a launch
+    // allocates nothing for its checks.
+    for (what, other) in [("b", b.dims()), ("x", x.dims())] {
+        if other != dims {
+            dims.ensure_same(&other, &format!("{name} {what}"))?;
+        }
+    }
+    let chunks: Vec<&mut [T]> = x.systems_mut().collect();
+    Ok(run_batch_map_mut(chunks, |i, xi| {
+        let x0 = xi.to_vec();
+        let r = block(i, b.system(i), xi);
+        sanitize_block_result(&x0, xi, r)
+    }))
+}
+
+/// Numeric phase of an iterative solver: every system's kernel runs
+/// for real and updates its slice of `x`, with the logger
+/// `make_logger(i)`; nothing is priced.
+pub(crate) fn run_numerics<T, K, M, L, F>(
+    solver: &K,
+    a: &M,
+    b: &BatchVectors<T>,
+    x: &mut BatchVectors<T>,
+    make_logger: F,
+) -> Result<Vec<SystemResult>>
+where
+    T: Scalar,
+    K: BatchKernel<T>,
+    M: BatchMatrix<T>,
+    L: IterationLogger<T>,
+    F: Fn(usize) -> L + Sync + Send,
+{
+    run_blocks(K::NAME, a, b, x, |i, bi, xi| {
+        solver.block(a, i, bi, xi, &mut make_logger(i))
+    })
+}
+
+/// Pricing phase of an iterative solver: plan the workspace, turn the
+/// solver's [`StageCosts`] into one [`BlockStats`] per record, and price
+/// one launch of reduction width n on `device`. The records may be any
+/// subset of a run over `a`: systems are independent, so a subset
+/// prices consistently. The reported `syncs_per_iteration` is the
+/// density of the profile the launch was priced with.
+pub(crate) fn price_results<T, K, M>(
+    solver: &K,
+    device: &DeviceSpec,
+    a: &M,
+    results: Vec<SystemResult>,
+) -> BatchSolveReport
+where
+    T: Scalar,
+    K: BatchKernel<T>,
+    M: BatchMatrix<T>,
+{
+    let n = a.dims().num_rows;
+    let plan = WorkspacePlan::plan::<T>(device.shared_budget_bytes(), n, K::VECTORS);
+    let costs = solver.stage_costs(a, device, &plan);
+    let blocks: Vec<_> = results
+        .iter()
+        .map(|r| assemble_block_stats(a, &plan, r, &costs))
+        .collect();
+    let kernel = SimKernel::new(device, plan.shared_bytes)
+        .with_reduction_width(n as u64)
+        .price(&blocks);
+    BatchSolveReport {
+        per_system: results,
+        kernel,
+        plan_description: plan.describe(),
+        shared_per_block: plan.shared_bytes,
+        global_vector_bytes: plan.global_vector_bytes(),
+        solver: K::NAME,
+        format: a.format_name(),
+        device: device.name,
+        syncs_per_iteration: costs.sync.syncs_per_iteration(),
+    }
+}
+
+/// One fused launch: [`run_numerics`], then [`price_results`] on
+/// `device`.
+pub(crate) fn launch<T, K, M, L, F>(
+    solver: &K,
+    device: &DeviceSpec,
+    a: &M,
+    b: &BatchVectors<T>,
+    x: &mut BatchVectors<T>,
+    make_logger: F,
+) -> Result<BatchSolveReport>
+where
+    T: Scalar,
+    K: BatchKernel<T>,
+    M: BatchMatrix<T>,
+    L: IterationLogger<T>,
+    F: Fn(usize) -> L + Sync + Send,
+{
+    let results = run_numerics(solver, a, b, x, make_logger)?;
+    Ok(price_results(solver, device, a, results))
 }
 
 #[cfg(test)]

@@ -8,10 +8,11 @@
 //! dispatch over 38 Skylake cores.
 
 use batsolv_formats::{BatchBanded, BatchMatrix, BatchVectors};
-use batsolv_gpusim::{run_batch_map_mut, BlockStats, DeviceSpec, SimKernel, TrafficProfile};
+use batsolv_gpusim::{BlockStats, DeviceSpec, SimKernel, TrafficProfile};
 use batsolv_types::{OpCounts, Result, Scalar};
 
-use crate::common::{sanitize_block_result, BatchSolveReport, SystemResult};
+use super::true_residual_result;
+use crate::common::{run_blocks, BatchSolveReport};
 
 /// The batched `dgbsv`-style direct solver.
 #[derive(Clone, Copy, Debug, Default)]
@@ -28,54 +29,18 @@ impl BatchBandedLu {
         x: &mut BatchVectors<T>,
     ) -> Result<BatchSolveReport> {
         let dims = a.dims();
-        dims.ensure_same(&b.dims(), "dgbsv b")?;
-        dims.ensure_same(&x.dims(), "dgbsv x")?;
         let n = dims.num_rows;
         let (kl, ku, ldab) = (a.kl(), a.ku(), a.ldab());
-
-        let chunks: Vec<&mut [T]> = x.systems_mut().collect();
-        let results: Vec<SystemResult> = run_batch_map_mut(chunks, |i, xi| {
-            let x0 = xi.to_vec();
-            xi.copy_from_slice(b.system(i));
+        let results = run_blocks("dgbsv", a, b, x, |i, bi, xi| {
+            xi.copy_from_slice(bi);
             let mut ab = a.ab_of(i).to_vec();
             let mut piv = vec![0usize; n];
-            let sys = match gbtrf(n, kl, ku, ldab, &mut ab, &mut piv) {
-                Ok(()) => {
-                    gbtrs(n, kl, ku, ldab, &ab, &piv, xi);
-                    // True residual for the report.
-                    let mut r = vec![T::ZERO; n];
-                    a.spmv_system(i, xi, &mut r);
-                    let res = b
-                        .system(i)
-                        .iter()
-                        .zip(r.iter())
-                        .map(|(&bv, &rv)| (bv - rv) * (bv - rv))
-                        .fold(T::ZERO, |acc, v| acc + v)
-                        .sqrt()
-                        .to_f64();
-                    SystemResult {
-                        iterations: 1,
-                        residual: res,
-                        // A factor+solve with a poisoned input can finish
-                        // and still produce garbage: accept only finite
-                        // residuals as solved.
-                        converged: res.is_finite(),
-                        breakdown: if res.is_finite() {
-                            None
-                        } else {
-                            Some("nonfinite")
-                        },
-                    }
-                }
-                Err(_) => SystemResult {
-                    iterations: 0,
-                    residual: f64::INFINITY,
-                    converged: false,
-                    breakdown: Some("singular"),
-                },
-            };
-            sanitize_block_result(&x0, xi, sys)
-        });
+            let factored = gbtrf(n, kl, ku, ldab, &mut ab, &mut piv).is_ok();
+            if factored {
+                gbtrs(n, kl, ku, ldab, &ab, &piv, xi);
+            }
+            true_residual_result(a, i, bi, xi, factored)
+        })?;
 
         let stats = block_stats::<T>(device, n, kl, ku, ldab);
         let blocks = vec![stats; dims.num_systems];

@@ -11,10 +11,11 @@
 //! fly (`Q^T b`), followed by a banded back-substitution with `R`.
 
 use batsolv_formats::{BatchBanded, BatchMatrix, BatchVectors};
-use batsolv_gpusim::{run_batch_map_mut, BlockStats, DeviceSpec, SimKernel, TrafficProfile};
+use batsolv_gpusim::{BlockStats, DeviceSpec, SimKernel, TrafficProfile};
 use batsolv_types::{OpCounts, Result, Scalar};
 
-use crate::common::{sanitize_block_result, BatchSolveReport, SystemResult};
+use super::true_residual_result;
+use crate::common::{run_blocks, BatchSolveReport};
 
 /// The batched sparse QR direct solver.
 #[derive(Clone, Copy, Debug, Default)]
@@ -30,48 +31,14 @@ impl BatchSparseQr {
         x: &mut BatchVectors<T>,
     ) -> Result<BatchSolveReport> {
         let dims = a.dims();
-        dims.ensure_same(&b.dims(), "qr b")?;
-        dims.ensure_same(&x.dims(), "qr x")?;
         let n = dims.num_rows;
         let (kl, ku, ldab) = (a.kl(), a.ku(), a.ldab());
-
-        let chunks: Vec<&mut [T]> = x.systems_mut().collect();
-        let results: Vec<SystemResult> = run_batch_map_mut(chunks, |i, xi| {
-            let x0 = xi.to_vec();
-            xi.copy_from_slice(b.system(i));
+        let results = run_blocks("sparse-qr", a, b, x, |i, bi, xi| {
+            xi.copy_from_slice(bi);
             let mut ab = a.ab_of(i).to_vec();
-            let sys = match givens_qr_solve(n, kl, ku, ldab, &mut ab, xi) {
-                Ok(()) => {
-                    let mut r = vec![T::ZERO; n];
-                    a.spmv_system(i, xi, &mut r);
-                    let res = b
-                        .system(i)
-                        .iter()
-                        .zip(r.iter())
-                        .map(|(&bv, &rv)| (bv - rv) * (bv - rv))
-                        .fold(T::ZERO, |acc, v| acc + v)
-                        .sqrt()
-                        .to_f64();
-                    SystemResult {
-                        iterations: 1,
-                        residual: res,
-                        converged: res.is_finite(),
-                        breakdown: if res.is_finite() {
-                            None
-                        } else {
-                            Some("nonfinite")
-                        },
-                    }
-                }
-                Err(_) => SystemResult {
-                    iterations: 0,
-                    residual: f64::INFINITY,
-                    converged: false,
-                    breakdown: Some("singular"),
-                },
-            };
-            sanitize_block_result(&x0, xi, sys)
-        });
+            let factored = givens_qr_solve(n, kl, ku, ldab, &mut ab, xi).is_ok();
+            true_residual_result(a, i, bi, xi, factored)
+        })?;
 
         let stats = block_stats::<T>(device, n, kl, ku, ldab);
         let blocks = vec![stats; dims.num_systems];

@@ -16,16 +16,17 @@ use batsolv_blas as blas;
 use batsolv_blas::counts as bc;
 use batsolv_blas::counts::MemSpace;
 use batsolv_formats::{BatchMatrix, BatchVectors};
-use batsolv_gpusim::{run_batch_map_mut, DeviceSpec, SimKernel};
+use batsolv_gpusim::DeviceSpec;
 use batsolv_types::{OpCounts, Result, Scalar};
 
 use crate::common::{
-    assemble_block_stats, placed_spmv_counts, sanitize_block_result, BatchSolveReport, StageCosts,
-    SyncProfile, SystemResult,
+    launch, placed_spmv_counts, BatchKernel, BatchSolveReport, StageCosts, SyncProfile,
+    SystemResult,
 };
+use crate::logger::{IterationLogger, NoopLogger};
 use crate::precond::Preconditioner;
 use crate::stop::StopCriterion;
-use crate::workspace::{WorkspacePlan, PIPELINED_CG_VECTORS};
+use crate::workspace::{VectorSpec, WorkspacePlan, PIPELINED_CG_VECTORS};
 
 /// Setup: residual, two SpMV-class applications, fused initial reduction.
 const SETUP_STAGES: u64 = 4;
@@ -85,60 +86,144 @@ where
         b: &BatchVectors<T>,
         x: &mut BatchVectors<T>,
     ) -> Result<BatchSolveReport> {
-        let dims = a.dims();
-        dims.ensure_same(&b.dims(), "pipelined-cg b")?;
-        dims.ensure_same(&x.dims(), "pipelined-cg x")?;
-        let n = dims.num_rows;
-        let plan = WorkspacePlan::plan::<T>(device.shared_budget_bytes(), n, &PIPELINED_CG_VECTORS);
+        launch(self, device, a, b, x, |_| NoopLogger)
+    }
+}
 
+impl<T, P, S> BatchKernel<T> for PipelinedCg<T, P, S>
+where
+    T: Scalar,
+    P: Preconditioner<T>,
+    S: StopCriterion<T>,
+{
+    const NAME: &'static str = "pipelined-cg";
+    const VECTORS: &'static [VectorSpec] = &PIPELINED_CG_VECTORS;
+
+    /// Per-block pipelined CG kernel (Ghysels–Vanroose recurrences).
+    fn block<M, L>(&self, a: &M, i: usize, b: &[T], x: &mut [T], _: &mut L) -> SystemResult
+    where
+        M: BatchMatrix<T> + ?Sized,
+        L: IterationLogger<T>,
+    {
         let (precond, stop, max_iters) = (&self.precond, &self.stop, self.max_iters);
-        let chunks: Vec<&mut [T]> = x.systems_mut().collect();
-        let results: Vec<SystemResult> = run_batch_map_mut(chunks, |i, xi| {
-            let x0 = xi.to_vec();
-            let r = pipelined_cg_block(a, i, b.system(i), xi, precond, stop, max_iters);
-            sanitize_block_result(&x0, xi, r)
-        });
-
-        let (setup, per_iter, ro_req) = self.cost_decomposition(a, device, &plan);
-        // One preconditioner apply per iteration plus one at setup.
-        let p_syncs = self.precond.apply_syncs(n);
-        let p_stages = self.precond.apply_stages(n).saturating_sub(1);
-        let mut sync = SYNC.with_precond_applies(1, p_syncs);
-        sync.setup_syncs += p_syncs;
-        let costs = StageCosts {
-            setup,
-            per_iter,
-            setup_stages: SETUP_STAGES + p_stages,
-            iter_stages: ITER_STAGES + p_stages,
-            ro_req_per_iter: ro_req,
-            sync,
+        let n = b.len();
+        let pstate = match precond.generate(a, i) {
+            Ok(s) => s,
+            Err(_) => {
+                return SystemResult {
+                    iterations: 0,
+                    residual: f64::INFINITY,
+                    converged: false,
+                    breakdown: Some("preconditioner"),
+                }
+            }
         };
-        let blocks: Vec<_> = results
-            .iter()
-            .map(|r| assemble_block_stats(a, &plan, r, &costs))
-            .collect();
-        let kernel = SimKernel::new(device, plan.shared_bytes)
-            .with_reduction_width(n as u64)
-            .price(&blocks);
-        Ok(BatchSolveReport {
-            per_system: results,
-            kernel,
-            plan_description: plan.describe(),
-            shared_per_block: plan.shared_bytes,
-            global_vector_bytes: plan.global_vector_bytes(),
-            solver: "pipelined-cg",
-            format: a.format_name(),
-            device: device.name,
-            syncs_per_iteration: SYNC.syncs_per_iteration(),
-        })
+        let mut r = vec![T::ZERO; n];
+        let mut u = vec![T::ZERO; n];
+        let mut w = vec![T::ZERO; n];
+        let mut m = vec![T::ZERO; n];
+        let mut nn = vec![T::ZERO; n];
+        let mut z = vec![T::ZERO; n];
+        let mut q = vec![T::ZERO; n];
+        let mut s = vec![T::ZERO; n];
+        let mut p = vec![T::ZERO; n];
+
+        // r = b − Ax; u = M⁻¹r; w = Au.
+        a.spmv_system(i, x, &mut r);
+        blas::sub_from(b, &mut r);
+        precond.apply(&pstate, &r, &mut u);
+        a.spmv_system(i, &u, &mut w);
+
+        // Fused initial reduction: γ = (r,u), δ = (w,u), ‖r‖ (and ‖b‖).
+        let mut gamma = blas::dot(&r, &u);
+        let mut delta = blas::dot(&w, &u);
+        let bnorm = blas::nrm2(b);
+        let res0 = blas::nrm2(&r);
+        let mut res = res0;
+
+        let mut gamma_old = T::ONE;
+        let mut alpha_old = T::ONE;
+
+        for iter in 0..max_iters as u32 {
+            if stop.is_converged(res, res0, bnorm) {
+                return SystemResult {
+                    iterations: iter,
+                    residual: res.to_f64(),
+                    converged: true,
+                    breakdown: None,
+                };
+            }
+            if gamma == T::ZERO || !gamma.is_finite() {
+                return SystemResult {
+                    iterations: iter,
+                    residual: res.to_f64(),
+                    converged: false,
+                    breakdown: Some("gamma"),
+                };
+            }
+            // The iteration's only SpMV; the previous fused reduction's tree
+            // is overlapped with it on a real device.
+            precond.apply(&pstate, &w, &mut m);
+            a.spmv_system(i, &m, &mut nn);
+
+            // Scalar recurrences replace the second and third barriers.
+            let (beta, alpha) = if iter == 0 {
+                (T::ZERO, gamma / delta)
+            } else {
+                let beta = gamma / gamma_old;
+                (beta, gamma / (delta - beta * gamma / alpha_old))
+            };
+            if !alpha.is_finite() || alpha == T::ZERO {
+                return SystemResult {
+                    iterations: iter,
+                    residual: res.to_f64(),
+                    converged: false,
+                    breakdown: Some("delta"),
+                };
+            }
+            // Recurrence updates (z = Ap-direction image, q = M⁻¹-image,
+            // s = w-image, p = search direction), then the vector updates.
+            for k in 0..n {
+                z[k] = nn[k] + beta * z[k];
+                q[k] = m[k] + beta * q[k];
+                s[k] = w[k] + beta * s[k];
+                p[k] = u[k] + beta * p[k];
+            }
+            for k in 0..n {
+                x[k] += alpha * p[k];
+                u[k] -= alpha * q[k];
+                w[k] -= alpha * z[k];
+                r[k] -= alpha * s[k];
+            }
+            gamma_old = gamma;
+            alpha_old = alpha;
+            // Fused reduction: γ, δ, ‖r‖ in one tree.
+            gamma = blas::dot(&r, &u);
+            delta = blas::dot(&w, &u);
+            res = blas::nrm2(&r);
+            if !res.is_finite() {
+                return SystemResult {
+                    iterations: iter + 1,
+                    residual: res.to_f64(),
+                    converged: false,
+                    breakdown: Some("divergence"),
+                };
+            }
+        }
+        SystemResult {
+            iterations: max_iters as u32,
+            residual: res.to_f64(),
+            converged: stop.is_converged(res, res0, bnorm),
+            breakdown: None,
+        }
     }
 
-    fn cost_decomposition<M: BatchMatrix<T>>(
+    fn stage_costs<M: BatchMatrix<T>>(
         &self,
         a: &M,
         device: &DeviceSpec,
         plan: &WorkspacePlan,
-    ) -> (OpCounts, OpCounts, u64) {
+    ) -> StageCosts {
         let n = a.dims().num_rows;
         let w = device.warp_size;
         let sp = |name: &str| plan.space_of(name);
@@ -176,135 +261,19 @@ where
 
         // One SpMV per iteration.
         let ro = a.value_bytes_per_system() as u64 + a.shared_index_bytes() as u64;
-        (setup, it, ro)
-    }
-}
-
-/// Per-block pipelined CG kernel (Ghysels–Vanroose recurrences).
-fn pipelined_cg_block<T, M, P, S>(
-    a: &M,
-    i: usize,
-    b: &[T],
-    x: &mut [T],
-    precond: &P,
-    stop: &S,
-    max_iters: usize,
-) -> SystemResult
-where
-    T: Scalar,
-    M: BatchMatrix<T> + ?Sized,
-    P: Preconditioner<T>,
-    S: StopCriterion<T>,
-{
-    let n = b.len();
-    let pstate = match precond.generate(a, i) {
-        Ok(s) => s,
-        Err(_) => {
-            return SystemResult {
-                iterations: 0,
-                residual: f64::INFINITY,
-                converged: false,
-                breakdown: Some("preconditioner"),
-            }
+        // One preconditioner apply per iteration plus one at setup.
+        let p_syncs = self.precond.apply_syncs(n);
+        let p_stages = self.precond.apply_stages(n).saturating_sub(1);
+        let mut sync = SYNC.with_precond_applies(1, p_syncs);
+        sync.setup_syncs += p_syncs;
+        StageCosts {
+            setup,
+            per_iter: it,
+            setup_stages: SETUP_STAGES + p_stages,
+            iter_stages: ITER_STAGES + p_stages,
+            ro_req_per_iter: ro,
+            sync,
         }
-    };
-    let mut r = vec![T::ZERO; n];
-    let mut u = vec![T::ZERO; n];
-    let mut w = vec![T::ZERO; n];
-    let mut m = vec![T::ZERO; n];
-    let mut nn = vec![T::ZERO; n];
-    let mut z = vec![T::ZERO; n];
-    let mut q = vec![T::ZERO; n];
-    let mut s = vec![T::ZERO; n];
-    let mut p = vec![T::ZERO; n];
-
-    // r = b − Ax; u = M⁻¹r; w = Au.
-    a.spmv_system(i, x, &mut r);
-    blas::sub_from(b, &mut r);
-    precond.apply(&pstate, &r, &mut u);
-    a.spmv_system(i, &u, &mut w);
-
-    // Fused initial reduction: γ = (r,u), δ = (w,u), ‖r‖ (and ‖b‖).
-    let mut gamma = blas::dot(&r, &u);
-    let mut delta = blas::dot(&w, &u);
-    let bnorm = blas::nrm2(b);
-    let res0 = blas::nrm2(&r);
-    let mut res = res0;
-
-    let mut gamma_old = T::ONE;
-    let mut alpha_old = T::ONE;
-
-    for iter in 0..max_iters as u32 {
-        if stop.is_converged(res, res0, bnorm) {
-            return SystemResult {
-                iterations: iter,
-                residual: res.to_f64(),
-                converged: true,
-                breakdown: None,
-            };
-        }
-        if gamma == T::ZERO || !gamma.is_finite() {
-            return SystemResult {
-                iterations: iter,
-                residual: res.to_f64(),
-                converged: false,
-                breakdown: Some("gamma"),
-            };
-        }
-        // The iteration's only SpMV; the previous fused reduction's tree
-        // is overlapped with it on a real device.
-        precond.apply(&pstate, &w, &mut m);
-        a.spmv_system(i, &m, &mut nn);
-
-        // Scalar recurrences replace the second and third barriers.
-        let (beta, alpha) = if iter == 0 {
-            (T::ZERO, gamma / delta)
-        } else {
-            let beta = gamma / gamma_old;
-            (beta, gamma / (delta - beta * gamma / alpha_old))
-        };
-        if !alpha.is_finite() || alpha == T::ZERO {
-            return SystemResult {
-                iterations: iter,
-                residual: res.to_f64(),
-                converged: false,
-                breakdown: Some("delta"),
-            };
-        }
-        // Recurrence updates (z = Ap-direction image, q = M⁻¹-image,
-        // s = w-image, p = search direction), then the vector updates.
-        for k in 0..n {
-            z[k] = nn[k] + beta * z[k];
-            q[k] = m[k] + beta * q[k];
-            s[k] = w[k] + beta * s[k];
-            p[k] = u[k] + beta * p[k];
-        }
-        for k in 0..n {
-            x[k] += alpha * p[k];
-            u[k] -= alpha * q[k];
-            w[k] -= alpha * z[k];
-            r[k] -= alpha * s[k];
-        }
-        gamma_old = gamma;
-        alpha_old = alpha;
-        // Fused reduction: γ, δ, ‖r‖ in one tree.
-        gamma = blas::dot(&r, &u);
-        delta = blas::dot(&w, &u);
-        res = blas::nrm2(&r);
-        if !res.is_finite() {
-            return SystemResult {
-                iterations: iter + 1,
-                residual: res.to_f64(),
-                converged: false,
-                breakdown: Some("divergence"),
-            };
-        }
-    }
-    SystemResult {
-        iterations: max_iters as u32,
-        residual: res.to_f64(),
-        converged: stop.is_converged(res, res0, bnorm),
-        breakdown: None,
     }
 }
 

@@ -10,16 +10,17 @@ use batsolv_blas as blas;
 use batsolv_blas::counts as bc;
 use batsolv_blas::counts::MemSpace;
 use batsolv_formats::{BatchMatrix, BatchVectors};
-use batsolv_gpusim::{run_batch_map_mut, DeviceSpec, SimKernel};
+use batsolv_gpusim::DeviceSpec;
 use batsolv_types::{OpCounts, Result, Scalar};
 
 use crate::common::{
-    assemble_block_stats, placed_spmv_counts, sanitize_block_result, BatchSolveReport, StageCosts,
-    SyncProfile, SystemResult,
+    launch, placed_spmv_counts, BatchKernel, BatchSolveReport, StageCosts, SyncProfile,
+    SystemResult,
 };
+use crate::logger::{IterationLogger, NoopLogger};
 use crate::precond::Preconditioner;
 use crate::stop::StopCriterion;
-use crate::workspace::{WorkspacePlan, RICHARDSON_VECTORS};
+use crate::workspace::{VectorSpec, WorkspacePlan, RICHARDSON_VECTORS};
 
 /// Reduction barriers are priced separately via [`SyncProfile`].
 const SETUP_STAGES: u64 = 2;
@@ -78,59 +79,84 @@ where
         b: &BatchVectors<T>,
         x: &mut BatchVectors<T>,
     ) -> Result<BatchSolveReport> {
-        let dims = a.dims();
-        dims.ensure_same(&b.dims(), "richardson b")?;
-        dims.ensure_same(&x.dims(), "richardson x")?;
-        let n = dims.num_rows;
-        let plan = WorkspacePlan::plan::<T>(device.shared_budget_bytes(), n, &RICHARDSON_VECTORS);
+        launch(self, device, a, b, x, |_| NoopLogger)
+    }
+}
 
+impl<T, P, S> BatchKernel<T> for BatchRichardson<T, P, S>
+where
+    T: Scalar,
+    P: Preconditioner<T>,
+    S: StopCriterion<T>,
+{
+    const NAME: &'static str = "richardson";
+    const VECTORS: &'static [VectorSpec] = &RICHARDSON_VECTORS;
+
+    /// Per-block Richardson kernel.
+    fn block<M, L>(&self, a: &M, i: usize, b: &[T], x: &mut [T], _: &mut L) -> SystemResult
+    where
+        M: BatchMatrix<T> + ?Sized,
+        L: IterationLogger<T>,
+    {
         let (precond, stop, omega, max_iters) =
             (&self.precond, &self.stop, self.omega, self.max_iters);
-        let chunks: Vec<&mut [T]> = x.systems_mut().collect();
-        let results: Vec<SystemResult> = run_batch_map_mut(chunks, |i, xi| {
-            let x0 = xi.to_vec();
-            let r = richardson_block(a, i, b.system(i), xi, precond, stop, omega, max_iters);
-            sanitize_block_result(&x0, xi, r)
-        });
-
-        let (setup, per_iter, ro_req) = self.cost_decomposition(a, device, &plan);
-        // One preconditioner apply per iteration (the M⁻¹r correction).
-        let p_syncs = self.precond.apply_syncs(n);
-        let p_stages = self.precond.apply_stages(n).saturating_sub(1);
-        let costs = StageCosts {
-            setup,
-            per_iter,
-            setup_stages: SETUP_STAGES,
-            iter_stages: ITER_STAGES + p_stages,
-            ro_req_per_iter: ro_req,
-            sync: SYNC.with_precond_applies(1, p_syncs),
+        let n = b.len();
+        let pstate = match precond.generate(a, i) {
+            Ok(s) => s,
+            Err(_) => {
+                return SystemResult {
+                    iterations: 0,
+                    residual: f64::INFINITY,
+                    converged: false,
+                    breakdown: Some("preconditioner"),
+                }
+            }
         };
-        let blocks: Vec<_> = results
-            .iter()
-            .map(|r| assemble_block_stats(a, &plan, r, &costs))
-            .collect();
-        let kernel = SimKernel::new(device, plan.shared_bytes)
-            .with_reduction_width(n as u64)
-            .price(&blocks);
-        Ok(BatchSolveReport {
-            per_system: results,
-            kernel,
-            plan_description: plan.describe(),
-            shared_per_block: plan.shared_bytes,
-            global_vector_bytes: plan.global_vector_bytes(),
-            solver: "richardson",
-            format: a.format_name(),
-            device: device.name,
-            syncs_per_iteration: SYNC.syncs_per_iteration(),
-        })
+        let mut r = vec![T::ZERO; n];
+        let mut z = vec![T::ZERO; n];
+        let bnorm = blas::nrm2(b);
+        let mut res0 = T::ZERO;
+        let mut res = T::ZERO;
+        for iter in 0..max_iters as u32 {
+            a.spmv_system(i, x, &mut r);
+            blas::sub_from(b, &mut r);
+            res = blas::nrm2(&r);
+            if iter == 0 {
+                res0 = res;
+            }
+            if !res.is_finite() {
+                return SystemResult {
+                    iterations: iter,
+                    residual: res.to_f64(),
+                    converged: false,
+                    breakdown: Some("divergence"),
+                };
+            }
+            if stop.is_converged(res, res0, bnorm) {
+                return SystemResult {
+                    iterations: iter,
+                    residual: res.to_f64(),
+                    converged: true,
+                    breakdown: None,
+                };
+            }
+            precond.apply(&pstate, &r, &mut z);
+            blas::axpy(omega, &z, x);
+        }
+        SystemResult {
+            iterations: max_iters as u32,
+            residual: res.to_f64(),
+            converged: stop.is_converged(res, res0, bnorm),
+            breakdown: None,
+        }
     }
 
-    fn cost_decomposition<M: BatchMatrix<T>>(
+    fn stage_costs<M: BatchMatrix<T>>(
         &self,
         a: &M,
         device: &DeviceSpec,
         plan: &WorkspacePlan,
-    ) -> (OpCounts, OpCounts, u64) {
+    ) -> StageCosts {
         let n = a.dims().num_rows;
         let w = device.warp_size;
         let sp = |name: &str| plan.space_of(name);
@@ -147,76 +173,17 @@ where
         it += bc::axpy_counts::<T>(n, sp("z"), sp("x"), w);
 
         let ro = a.value_bytes_per_system() as u64 + a.shared_index_bytes() as u64;
-        (setup, it, ro)
-    }
-}
-
-/// Per-block Richardson kernel.
-#[allow(clippy::too_many_arguments)]
-fn richardson_block<T, M, P, S>(
-    a: &M,
-    i: usize,
-    b: &[T],
-    x: &mut [T],
-    precond: &P,
-    stop: &S,
-    omega: T,
-    max_iters: usize,
-) -> SystemResult
-where
-    T: Scalar,
-    M: BatchMatrix<T> + ?Sized,
-    P: Preconditioner<T>,
-    S: StopCriterion<T>,
-{
-    let n = b.len();
-    let pstate = match precond.generate(a, i) {
-        Ok(s) => s,
-        Err(_) => {
-            return SystemResult {
-                iterations: 0,
-                residual: f64::INFINITY,
-                converged: false,
-                breakdown: Some("preconditioner"),
-            }
+        // One preconditioner apply per iteration (the M⁻¹r correction).
+        let p_syncs = self.precond.apply_syncs(n);
+        let p_stages = self.precond.apply_stages(n).saturating_sub(1);
+        StageCosts {
+            setup,
+            per_iter: it,
+            setup_stages: SETUP_STAGES,
+            iter_stages: ITER_STAGES + p_stages,
+            ro_req_per_iter: ro,
+            sync: SYNC.with_precond_applies(1, p_syncs),
         }
-    };
-    let mut r = vec![T::ZERO; n];
-    let mut z = vec![T::ZERO; n];
-    let bnorm = blas::nrm2(b);
-    let mut res0 = T::ZERO;
-    let mut res = T::ZERO;
-    for iter in 0..max_iters as u32 {
-        a.spmv_system(i, x, &mut r);
-        blas::sub_from(b, &mut r);
-        res = blas::nrm2(&r);
-        if iter == 0 {
-            res0 = res;
-        }
-        if !res.is_finite() {
-            return SystemResult {
-                iterations: iter,
-                residual: res.to_f64(),
-                converged: false,
-                breakdown: Some("divergence"),
-            };
-        }
-        if stop.is_converged(res, res0, bnorm) {
-            return SystemResult {
-                iterations: iter,
-                residual: res.to_f64(),
-                converged: true,
-                breakdown: None,
-            };
-        }
-        precond.apply(&pstate, &r, &mut z);
-        blas::axpy(omega, &z, x);
-    }
-    SystemResult {
-        iterations: max_iters as u32,
-        residual: res.to_f64(),
-        converged: stop.is_converged(res, res0, bnorm),
-        breakdown: None,
     }
 }
 

@@ -25,13 +25,12 @@
 //! this label.
 //!
 //! [`LedgerAggregator`] is the streaming consumer: feed it a trace-event
-//! stream (live, or replayed from JSONL) and it collects the authoritative
-//! `ledger` events the runtime and fleet emit at each terminal outcome,
-//! synthesizing a coarse fallback ledger from `submitted`/`dequeued`/
-//! `terminal` edges for requests that never got one (e.g. streams from
-//! before this schema existed).
+//! stream (live, or replayed from JSONL) and it collects the `ledger`
+//! events the runtime and fleet emit at each terminal outcome. It builds
+//! no ledger of its own: a request that reached a terminal without one
+//! stays open.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use crate::event::{json_f64, EventKind, TraceEvent, TraceId};
 
@@ -300,28 +299,14 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// State of one in-flight request in the aggregator.
-#[derive(Debug, Default)]
-struct OpenRequest {
-    t_submit_us: u64,
-    wait_us: Option<u64>,
-    t_dequeued_us: Option<u64>,
-}
-
 /// Streaming ledger collector over a trace-event stream.
 ///
-/// An authoritative `ledger` event always wins over the coarse fallback
-/// synthesized from the `terminal` edge, in either stream order: a
-/// ledger arriving after the terminal *replaces* the synthesized entry
-/// in place, and a terminal arriving after the ledger is ignored.
+/// A request opens at `submitted` and closes at its `ledger` event, or
+/// at a `rejected` push that refused it after submission.
 #[derive(Debug, Default)]
 pub struct LedgerAggregator {
-    open: HashMap<TraceId, OpenRequest>,
+    open: HashSet<TraceId>,
     finished: Vec<(TraceId, PhaseLedger)>,
-    /// Ids whose entry in `finished` came from an authoritative ledger.
-    authoritative: std::collections::HashSet<TraceId>,
-    /// Id → index in `finished` of a synthesized (replaceable) entry.
-    synthesized: HashMap<TraceId, usize>,
 }
 
 impl LedgerAggregator {
@@ -345,81 +330,27 @@ impl LedgerAggregator {
         let Some(id) = ev.trace_id else { return };
         match &ev.kind {
             EventKind::Submitted { .. } => {
-                self.open.insert(
-                    id,
-                    OpenRequest {
-                        t_submit_us: ev.t_us,
-                        ..OpenRequest::default()
-                    },
-                );
+                self.open.insert(id);
             }
             // A push refused after `Submitted` (queue full, shutting
             // down) closes the request: it never reaches a terminal.
             EventKind::Rejected { .. } => {
                 self.open.remove(&id);
             }
-            EventKind::Dequeued { wait_us } => {
-                if let Some(open) = self.open.get_mut(&id) {
-                    open.wait_us = Some(*wait_us);
-                    open.t_dequeued_us = Some(ev.t_us);
-                }
-            }
             EventKind::Ledger(ledger) => {
-                // Authoritative: the emitting layer measured the phases.
-                // If the terminal edge already synthesized a fallback for
-                // this id (the runtime emits terminal before ledger),
-                // replace it in place instead of double-counting.
                 self.open.remove(&id);
-                self.authoritative.insert(id);
-                if let Some(idx) = self.synthesized.remove(&id) {
-                    self.finished[idx] = (id, ledger.clone());
-                } else {
-                    self.finished.push((id, ledger.clone()));
-                }
-            }
-            EventKind::Terminal {
-                outcome,
-                iterations,
-                ..
-            } => {
-                if self.authoritative.contains(&id) {
-                    return;
-                }
-                // Fallback synthesis for streams without ledger events:
-                // queue from the dequeue edge, solve from dequeue →
-                // terminal, residual into `other`.
-                if let Some(open) = self.open.remove(&id) {
-                    let end = ev.t_us.saturating_sub(open.t_submit_us) as f64;
-                    let queue = open.wait_us.unwrap_or(0) as f64;
-                    let solve = open
-                        .t_dequeued_us
-                        .map(|t| ev.t_us.saturating_sub(t) as f64)
-                        .unwrap_or(0.0);
-                    let converged = outcome.starts_with("converged");
-                    let mut ledger = PhaseLedger {
-                        outcome,
-                        class: classify(*iterations, converged),
-                        iterations: *iterations,
-                        end_to_end_us: end,
-                        queue_us: queue.min(end),
-                        solve_us: solve.min((end - queue.min(end)).max(0.0)),
-                        ..PhaseLedger::default()
-                    };
-                    ledger.close();
-                    self.synthesized.insert(id, self.finished.len());
-                    self.finished.push((id, ledger));
-                }
+                self.finished.push((id, ledger.clone()));
             }
             _ => {}
         }
     }
 
-    /// Completed ledgers, in terminal order.
+    /// Completed ledgers, in emission order.
     pub fn ledgers(&self) -> &[(TraceId, PhaseLedger)] {
         &self.finished
     }
 
-    /// Requests submitted but neither terminal nor refused yet.
+    /// Requests submitted but neither closed by a ledger nor refused.
     pub fn open_count(&self) -> usize {
         self.open.len()
     }
@@ -698,82 +629,24 @@ mod tests {
     }
 
     #[test]
-    fn aggregator_synthesizes_from_lifecycle_edges() {
-        let events = vec![
-            TraceEvent {
-                t_us: 100,
-                trace_id: Some(3),
-                kind: EventKind::Submitted { n: 16 },
-            },
-            TraceEvent {
-                t_us: 400,
-                trace_id: Some(3),
-                kind: EventKind::Dequeued { wait_us: 300 },
-            },
-            TraceEvent {
-                t_us: 900,
-                trace_id: Some(3),
-                kind: EventKind::Terminal {
-                    outcome: "converged_bicgstab",
-                    iterations: 5,
-                    residual: 1e-11,
-                    rungs: 1,
-                },
-            },
-        ];
-        let agg = LedgerAggregator::build(&events);
-        assert_eq!(agg.ledgers().len(), 1);
-        let (_, l) = &agg.ledgers()[0];
-        assert_eq!(l.end_to_end_us, 800.0);
-        assert_eq!(l.queue_us, 300.0);
-        assert_eq!(l.solve_us, 500.0);
-        assert_eq!(l.class, WorkloadClass::IonLike);
-        assert!(l.balanced_within(1e-9));
-    }
-
-    #[test]
-    fn authoritative_ledger_replaces_the_synthesized_fallback() {
-        // The runtime emits `terminal` *before* `ledger` for the same
-        // request; the aggregator must not count the request twice, and
-        // the measured ledger must win over the coarse synthesis.
-        let events = vec![
-            TraceEvent {
+    fn a_terminal_without_a_ledger_stays_open() {
+        let terminal = EventKind::Terminal {
+            outcome: "converged_bicgstab",
+            iterations: 5,
+            residual: 1e-11,
+            rungs: 1,
+        };
+        let events: Vec<TraceEvent> = [EventKind::Submitted { n: 16 }, terminal]
+            .into_iter()
+            .map(|kind| TraceEvent {
                 t_us: 0,
-                trace_id: Some(9),
-                kind: EventKind::Submitted { n: 16 },
-            },
-            TraceEvent {
-                t_us: 200,
-                trace_id: Some(9),
-                kind: EventKind::Dequeued { wait_us: 200 },
-            },
-            TraceEvent {
-                t_us: 900,
-                trace_id: Some(9),
-                kind: EventKind::Terminal {
-                    outcome: "converged_bicgstab",
-                    iterations: 5,
-                    residual: 1e-11,
-                    rungs: 1,
-                },
-            },
-            TraceEvent {
-                t_us: 901,
-                trace_id: Some(9),
-                kind: EventKind::Ledger(sample_ledger()),
-            },
-        ];
+                trace_id: Some(3),
+                kind,
+            })
+            .collect();
         let agg = LedgerAggregator::build(&events);
-        assert_eq!(agg.ledgers().len(), 1, "one request, one ledger");
-        let (id, l) = &agg.ledgers()[0];
-        assert_eq!(*id, 9);
-        // The authoritative ledger's phases, not the synthesized ones.
-        assert_eq!(l.end_to_end_us, sample_ledger().end_to_end_us);
-        assert_eq!(l.linger_us, 100.0, "synthesis never fills linger");
-        // A terminal arriving after the ledger is ignored too.
-        let mut reordered = events.clone();
-        reordered.swap(2, 3);
-        assert_eq!(LedgerAggregator::build(&reordered).ledgers().len(), 1);
+        assert!(agg.ledgers().is_empty(), "the aggregator builds no ledger");
+        assert_eq!(agg.open_count(), 1);
     }
 
     #[test]
