@@ -17,8 +17,8 @@
 use std::time::Instant;
 
 use batsolv_bench::experiments::*;
-use batsolv_bench::output::json_escape;
 use batsolv_bench::RunConfig;
+use batsolv_trace::json_escape;
 
 /// Machine-readable record of one experiment, written to `summary.json`.
 struct ExperimentRecord {

@@ -9,6 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use batsolv_trace::json_escape;
 use batsolv_types::{Error, Result};
 
 /// A parsed JSON value. Objects keep sorted keys (BTreeMap): emission
@@ -149,19 +150,7 @@ fn write_num(out: &mut String, v: f64) {
 
 fn write_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    out.push_str(&json_escape(s));
     out.push('"');
 }
 

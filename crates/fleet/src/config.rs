@@ -16,10 +16,6 @@ pub const DEFAULT_MIN_BATCH_SIZE: usize = 8;
 /// absorbs an unbounded launch.
 pub const DEFAULT_MAX_BATCH_SIZE: usize = 256;
 
-/// Worker count of the CPU spill pool: the paper's dual-socket Skylake
-/// baseline runs Kokkos with 38 solve workers.
-pub const DEFAULT_CPU_WORKERS: usize = 38;
-
 /// Which simulated GPU stands behind every shard of the fleet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeviceProfile {
@@ -84,7 +80,8 @@ pub struct FleetConfig {
     /// Seed fixing every thief's victim-visit order (deterministic
     /// steal schedules for tests).
     pub steal_seed: u64,
-    /// Escalation-ladder knobs applied by every shard's engine.
+    /// Escalation-ladder knobs applied by every shard's engine (the CPU
+    /// pool's ladder is banded LU alone whatever they say).
     pub ladder: LadderConfig,
     /// Per-shard circuit-breaker knobs.
     pub breaker: BreakerConfig,
@@ -99,8 +96,9 @@ pub struct FleetConfig {
 impl FleetConfig {
     /// A fleet of `devices` shards with the defaults: V100 profile,
     /// min/max cutoffs [`DEFAULT_MIN_BATCH_SIZE`] /
-    /// [`DEFAULT_MAX_BATCH_SIZE`], stealing on, 38-worker CPU pool, and
-    /// the single-device service's ladder ([`LadderConfig::default`]).
+    /// [`DEFAULT_MAX_BATCH_SIZE`], stealing on, and the single-device
+    /// service's ladder ([`LadderConfig::default`]), which the CPU pool
+    /// runs on the 38-worker Skylake node.
     pub fn new(devices: usize) -> FleetConfig {
         FleetConfig {
             devices,
@@ -151,12 +149,6 @@ impl FleetConfig {
     /// Fix the steal victim-order seed.
     pub fn with_steal_seed(mut self, seed: u64) -> Self {
         self.steal_seed = seed;
-        self
-    }
-
-    /// Override the ladder knobs.
-    pub fn with_ladder(mut self, ladder: LadderConfig) -> Self {
-        self.ladder = ladder;
         self
     }
 

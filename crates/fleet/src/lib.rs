@@ -76,9 +76,7 @@ mod spill;
 pub mod stats;
 
 pub use batsolv_runtime::{HedgeConfig, RetryPolicy};
-pub use config::{
-    DeviceProfile, FleetConfig, DEFAULT_CPU_WORKERS, DEFAULT_MAX_BATCH_SIZE, DEFAULT_MIN_BATCH_SIZE,
-};
+pub use config::{DeviceProfile, FleetConfig, DEFAULT_MAX_BATCH_SIZE, DEFAULT_MIN_BATCH_SIZE};
 pub use metrics::fleet_prometheus_text;
 pub use range::{victim_order, DeviceRange, Placement, Route};
 pub use service::{FleetService, GroupTicket};

@@ -29,7 +29,7 @@ use crate::config::FleetConfig;
 use crate::metrics::fleet_prometheus_text;
 use crate::range::{victim_order, DeviceRange, Route};
 use crate::shard::{spawn_shard_worker, ShardCtx, ShardShared};
-use crate::spill::CpuLuEngine;
+use crate::spill::pool_engine;
 use crate::stats::{percentile, snapshot_shard, FleetSnapshot};
 
 /// Iteration count assumed by admission-time cost prediction: the
@@ -121,15 +121,14 @@ impl FleetService {
                 })
                 .collect(),
         );
-        // The CPU pool is one more worker over the same executor: a
-        // banded-LU engine instead of the ladder, its wall time booked as
-        // spill, and it never steals (GPU backlogs would defeat the size
-        // cutoff that routed work away from it) and never hedges (its
-        // chunks are the small spill tail, not fused straggler
-        // candidates).
-        let cpu_engine =
-            CpuLuEngine::new(Arc::clone(&pattern), range.cpu_shard(), cfg.tracer.clone());
-        let skylake = batsolv_gpusim::DeviceSpec::skylake_node().name;
+        // The CPU pool is one more worker over the same executor and the
+        // same ladder, priced on the Skylake node where it is banded LU
+        // alone: its wall time booked as spill, and it never steals (GPU
+        // backlogs would defeat the size cutoff that routed work away
+        // from it) and never hedges (its chunks are the small spill tail,
+        // not fused straggler candidates).
+        let cpu_engine = pool_engine(Arc::clone(&pattern), &cfg, range.cpu_shard());
+        let skylake = cpu_engine.device().name;
         let mut cpu = new_shard(range.cpu_shard(), skylake, Arc::new(cpu_engine));
         cpu.worker.exec_phase = Phase::Spill;
         cpu.worker.hedge = HedgeConfig::disabled();

@@ -3,117 +3,36 @@
 //! paying a GPU launch they cannot amortize.
 //!
 //! The pool is just another shard to the rest of the fleet — same
-//! queue, same stats, same exactly-once outcome delivery — with a
-//! [`SolveEngine`] that prices work on [`DeviceSpec::skylake_node`]
-//! (its compute units model the 38 Kokkos solve workers) rather than a
-//! GPU profile, and never escalates: banded LU *is* its only rung.
+//! queue, same stats, same exactly-once outcome delivery — and its
+//! engine is the same [`LadderEngine`] every GPU shard runs, priced on
+//! [`DeviceSpec::skylake_node`] (its compute units model the 38 Kokkos
+//! solve workers). On a CPU node the ladder is its banded-LU rung alone,
+//! so the pool never escalates, and no host link is crossed, so its
+//! trace lane holds launches and no transfers.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use batsolv_formats::{BatchBanded, BatchVectors, SparsityPattern};
-use batsolv_gpusim::{kernel_launch_event, DeviceSpec};
-use batsolv_runtime::dispatcher::{csr_batch, stack_rhs};
-use batsolv_runtime::{
-    BatchItem, BatchReport, ItemOutcome, RungAttempt, SimSplit, SolveEngine, SolveMethod,
-};
-use batsolv_solvers::direct::BatchBandedLu;
-use batsolv_trace::Tracer;
-use batsolv_types::Result;
+use batsolv_formats::SparsityPattern;
+use batsolv_gpusim::DeviceSpec;
+use batsolv_runtime::LadderEngine;
 
-use crate::config::DEFAULT_CPU_WORKERS;
+use crate::config::FleetConfig;
 
-/// Banded-LU engine on the Skylake host node, tagged with the CPU
-/// pool's shard id so its kernel reports land in their own trace lane.
-pub(crate) struct CpuLuEngine {
+/// The pool's engine: the fleet's ladder on the Skylake node, tagged
+/// with the pool's shard id so its launches land in their own lane.
+pub(crate) fn pool_engine(
     pattern: Arc<SparsityPattern>,
-    device: DeviceSpec,
+    cfg: &FleetConfig,
     shard: u32,
-    tracer: Tracer,
-    seq: AtomicU64,
-}
-
-impl CpuLuEngine {
-    /// Build the pool's engine: [`DEFAULT_CPU_WORKERS`] solve workers on
-    /// the Skylake node.
-    pub fn new(pattern: Arc<SparsityPattern>, shard: u32, tracer: Tracer) -> CpuLuEngine {
-        CpuLuEngine {
-            pattern,
-            device: DeviceSpec {
-                num_cus: DEFAULT_CPU_WORKERS as u32,
-                ..DeviceSpec::skylake_node()
-            },
-            shard,
-            tracer,
-            seq: AtomicU64::new(0),
-        }
-    }
-}
-
-impl SolveEngine for CpuLuEngine {
-    fn solve_batch(&self, items: &[BatchItem]) -> Result<BatchReport> {
-        let banded = BatchBanded::from_csr(&csr_batch(&self.pattern, items.iter())?)?;
-        let b = stack_rhs(self.pattern.num_rows(), items.iter())?;
-        let mut x = BatchVectors::zeros(b.dims());
-        let report = BatchBandedLu.solve(&self.device, &banded, &b, &mut x)?;
-
-        if self.tracer.is_enabled() {
-            self.tracer.emit(
-                None,
-                kernel_launch_event(
-                    self.seq.fetch_add(1, Ordering::Relaxed),
-                    report.solver,
-                    &self.device,
-                    items.len(),
-                    report.shared_per_block,
-                    report.global_vector_bytes,
-                    report.syncs_per_iteration,
-                    &report.kernel,
-                )
-                .with_shard(self.shard),
-            );
-        }
-
-        let outcomes = items
-            .iter()
-            .enumerate()
-            .map(|(k, it)| {
-                let r = &report.per_system[k];
-                ItemOutcome {
-                    id: it.id,
-                    x: x.system(k).to_vec(),
-                    iterations: r.iterations,
-                    residual: r.residual,
-                    converged: r.converged,
-                    method: SolveMethod::BandedLuFallback,
-                    breakdown: r.breakdown,
-                    rungs: vec![RungAttempt {
-                        method: SolveMethod::BandedLuFallback,
-                        iterations: r.iterations,
-                        residual: r.residual,
-                        converged: r.converged,
-                        breakdown: r.breakdown,
-                    }],
-                }
-            })
-            .collect();
-
-        let mut split = SimSplit::default();
-        split.add_kernel(&report);
-        Ok(BatchReport {
-            outcomes,
-            sim_time_s: report.time_s(),
-            syncs: report.syncs(),
-            reductions: report.reductions(),
-            solver: report.solver,
-            split,
-        })
-    }
+) -> LadderEngine {
+    LadderEngine::new(DeviceSpec::skylake_node(), pattern, cfg.ladder)
+        .with_tracer(cfg.tracer.clone())
+        .with_shard(shard)
 }
 
 #[cfg(test)]
 mod tests {
-    use batsolv_runtime::{LadderConfig, LadderEngine};
+    use batsolv_runtime::{BatchItem, LadderConfig, SolveEngine, SolveMethod};
     use batsolv_xgc::{VelocityGrid, XgcWorkload};
 
     use super::*;
@@ -134,8 +53,8 @@ mod tests {
     fn cpu_engine_solves_on_the_skylake_profile() {
         let pattern = Arc::new(SparsityPattern::stencil_2d(4, 4, false));
         let n = pattern.num_rows();
-        let engine = CpuLuEngine::new(Arc::clone(&pattern), 4, Tracer::disabled());
-        assert_eq!(engine.device.num_cus, 38);
+        let engine = pool_engine(Arc::clone(&pattern), &FleetConfig::new(4), 4);
+        assert_eq!(engine.device().num_cus, 38);
         let items: Vec<BatchItem> = (0..3)
             .map(|i| BatchItem {
                 id: i as u64,
@@ -173,7 +92,7 @@ mod tests {
                 }
             })
             .collect();
-        let cpu = CpuLuEngine::new(Arc::clone(&pattern), 4, Tracer::disabled());
+        let cpu = pool_engine(Arc::clone(&pattern), &FleetConfig::new(4), 4);
         let gpu = LadderEngine::new(DeviceSpec::v100(), pattern, LadderConfig::default());
         let cpu_s = cpu.solve_batch(&items).unwrap().sim_time_s;
         let gpu_s = gpu.solve_batch(&items).unwrap().sim_time_s;

@@ -2,11 +2,13 @@
 //!
 //! The engine is a trait so the service loop can be exercised with a
 //! deterministic test double (e.g. a blocking engine for backpressure
-//! tests) while production uses [`LadderEngine`]: the paper's fused
-//! batched BiCGSTAB, escalated per-system through restarted GMRES and
-//! finally the banded-LU (`dgbsv`) direct baseline. Each rung only
-//! reprocesses the systems the previous rung left behind, so a healthy
-//! batch pays exactly one BiCGSTAB launch.
+//! tests) while production uses [`LadderEngine`] on every device. On a
+//! GPU it runs the paper's fused batched BiCGSTAB, escalated per-system
+//! through restarted GMRES and finally the banded-LU (`dgbsv`) direct
+//! baseline; each rung only reprocesses the systems the previous rung
+//! left behind, so a healthy batch pays exactly one BiCGSTAB launch. On
+//! a CPU node (the fleet's spill pool) the ladder is the banded-LU rung
+//! alone, the paper's Skylake baseline.
 //!
 //! The iterative rungs solve on the paper's column-major `BatchEll`. The
 //! engine builds the pattern's [`EllIndex`] once and copies each member's
@@ -14,7 +16,10 @@
 //!
 //! The engine consults a [`LaunchHook`] immediately before the fused
 //! launch — the chaos seam: a hook can fail the launch like a device
-//! error, stall it, or panic the worker (see `batsolv-faults`).
+//! error, stall it, or panic the worker (see `batsolv-faults`). Both of
+//! the runtime's launchers, this engine and
+//! [`BatchExecutor`](crate::BatchExecutor), consult it through
+//! [`consult`] and record their launches through [`record_launch`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,13 +28,13 @@ use batsolv_formats::{
     BatchBanded, BatchCsr, BatchEll, BatchVectors, EllIndex, SparsityPattern, ValueLayout,
 };
 use batsolv_gpusim::{
-    kernel_launch_event, reduction_event, sync_point_event, transfer_event, DeviceSpec, Direction,
-    LaunchDisruption, LaunchHook, NoDisruption,
+    kernel_launch_event, reduction_event, sync_point_event, transfer_event, DeviceClass,
+    DeviceSpec, Direction, LaunchDisruption, LaunchHook, NoDisruption,
 };
 use batsolv_solvers::direct::BatchBandedLu;
 use batsolv_solvers::{
     AbsResidual, BatchBicgstab, BatchGmres, BatchSolveReport, Jacobi, PipelinedBicgstab,
-    TraceLogger,
+    SystemResult, TraceLogger,
 };
 use batsolv_trace::{EventKind, Tracer};
 use batsolv_types::{BatchDims, Error, Result};
@@ -92,7 +97,8 @@ pub struct BatchReport {
     pub syncs: u64,
     /// Reduction trees performed across all rungs (exposed + hidden).
     pub reductions: u64,
-    /// Name of the rung-1 solver variant that ran.
+    /// Name of the engine's first rung: the fused variant on a GPU,
+    /// `banded-lu` on a CPU node.
     pub solver: &'static str,
     /// Simulated solve-time decomposition of the whole dispatch.
     pub split: SimSplit,
@@ -231,13 +237,76 @@ impl Default for LadderConfig {
     }
 }
 
-/// The production engine: BiCGSTAB → restarted GMRES → banded LU, every
-/// iterative rung under scalar Jacobi.
+/// One rung of the ladder. The first runs over the whole batch; each
+/// later one over the members the rungs before it left unconverged.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Rung {
+    /// The configured fused variant under Jacobi, from each member's
+    /// guess (zero when it has none).
+    Fused(SolverVariant),
+    /// Restarted GMRES under Jacobi, warm-started from the last
+    /// (sanitized, finite) iterate.
+    Gmres,
+    /// Banded-LU direct solve (`dgbsv`) from zero: it produces a solution
+    /// modulo genuine singularity, so a missed iteration cap degrades to
+    /// dgbsv cost instead of an error.
+    BandedLu,
+}
+
+impl Rung {
+    /// The ladder on `device`. A CPU node (no shared memory, one block per
+    /// core) runs the banded-LU rung alone, the paper's `dgbsv` baseline;
+    /// a GPU runs the fused variant, then GMRES and banded LU as `cfg`
+    /// enables them.
+    fn ladder(device: &DeviceSpec, cfg: &LadderConfig) -> Vec<Rung> {
+        if device.class == DeviceClass::CpuNode {
+            return vec![Rung::BandedLu];
+        }
+        [
+            Some(Rung::Fused(cfg.solver)),
+            cfg.enable_gmres.then_some(Rung::Gmres),
+            cfg.enable_fallback.then_some(Rung::BandedLu),
+        ]
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+
+    /// The rung number in traces, fixed by kind whatever the ladder skips.
+    fn level(self) -> u8 {
+        match self {
+            Rung::Fused(_) => 1,
+            Rung::Gmres => 2,
+            Rung::BandedLu => 3,
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Rung::Fused(variant) => variant.name(),
+            Rung::Gmres => "gmres",
+            Rung::BandedLu => "banded-lu",
+        }
+    }
+
+    fn method(self) -> SolveMethod {
+        match self {
+            Rung::Fused(_) => SolveMethod::Bicgstab,
+            Rung::Gmres => SolveMethod::Gmres,
+            Rung::BandedLu => SolveMethod::BandedLuFallback,
+        }
+    }
+}
+
+/// The production engine, on any device: the ladder of rungs the device
+/// runs ([`Rung::ladder`]), every iterative rung under scalar Jacobi.
 pub struct LadderEngine {
     device: DeviceSpec,
     /// The column-major ELL index of the served pattern, built once.
     index: Arc<EllIndex>,
     cfg: LadderConfig,
+    /// The rungs `device` runs, in order.
+    rungs: Vec<Rung>,
     hook: Arc<dyn LaunchHook>,
     tracer: Tracer,
     /// Fleet shard id stamped onto every simulated-device record the
@@ -261,6 +330,7 @@ impl LadderEngine {
         hook: Arc<dyn LaunchHook>,
     ) -> LadderEngine {
         LadderEngine {
+            rungs: Rung::ladder(&device, &cfg),
             device,
             index: Arc::new(EllIndex::new(pattern, ValueLayout::ColMajor)),
             cfg,
@@ -286,45 +356,19 @@ impl LadderEngine {
         self
     }
 
-    /// Emit the simulated-device records of one fused launch: the h2d
-    /// upload of the subset's operands, then the launch itself.
-    fn trace_launch(&self, blocks: usize, upload_bytes: u64, report: &BatchSolveReport) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        self.tracer.emit(
-            None,
-            transfer_event(&self.device, upload_bytes, Direction::HostToDevice)
-                .with_shard(self.shard),
-        );
-        let seq = self.launch_seq.fetch_add(1, Ordering::Relaxed);
-        self.tracer.emit(
-            None,
-            kernel_launch_event(
-                seq,
-                report.solver,
-                &self.device,
-                blocks,
-                report.shared_per_block,
-                report.global_vector_bytes,
-                report.syncs_per_iteration,
-                &report.kernel,
-            )
-            .with_shard(self.shard),
-        );
-        // Marker events for the device lane: where the launch's barriers
-        // and reduction trees sit (direct rungs have none).
-        if report.kernel.syncs > 0 {
+    /// The device the engine prices on.
+    pub fn device(&self) -> &DeviceSpec {
+        &self.device
+    }
+
+    /// Record one host↔device copy on the shard's lane. A CPU node's
+    /// data is already on the host: no copy crosses a link, so none is
+    /// recorded.
+    fn trace_transfer(&self, bytes: u64, dir: Direction) {
+        if self.device.host_link_gbps.is_finite() {
             self.tracer.emit(
                 None,
-                sync_point_event(seq, report.solver, &report.kernel).with_shard(self.shard),
-            );
-        }
-        if report.kernel.reductions > 0 {
-            let width = (self.index.pattern().num_rows() * blocks) as u64;
-            self.tracer.emit(
-                None,
-                reduction_event(seq, report.solver, width, &report.kernel).with_shard(self.shard),
+                transfer_event(&self.device, bytes, dir).with_shard(self.shard),
             );
         }
     }
@@ -362,71 +406,96 @@ impl LadderEngine {
         Ok((a, b))
     }
 
-    /// Rung 1: one fused launch of the configured solver variant under
-    /// Jacobi, over the whole batch. Traced, per-iteration residuals
-    /// bridge through the solver's logger seam.
-    fn run_rung1(
-        &self,
-        tol: f64,
-        a: &BatchEll<f64>,
-        b: &BatchVectors<f64>,
-        x: &mut BatchVectors<f64>,
-        items: &[BatchItem],
-    ) -> Result<BatchSolveReport> {
-        let stop = AbsResidual::new(tol);
-        let traced = self.tracer.is_enabled();
-        let logger = |k: usize| TraceLogger::new(&self.tracer, items[k].id, 1);
-        match self.cfg.solver {
-            SolverVariant::Bicgstab => {
-                let solver = BatchBicgstab::new(Jacobi, stop)
-                    .with_max_iters(self.cfg.max_iters)
-                    .with_fused_axpy(true);
-                if traced {
-                    solver.solve_logged(&self.device, a, b, x, logger)
-                } else {
-                    solver.solve(&self.device, a, b, x)
-                }
-            }
-            SolverVariant::PipelinedBicgstab => {
-                let solver =
-                    PipelinedBicgstab::new(Jacobi, stop).with_max_iters(self.cfg.max_iters);
-                if traced {
-                    solver.solve_logged(&self.device, a, b, x, logger)
-                } else {
-                    solver.solve(&self.device, a, b, x)
-                }
-            }
-        }
-    }
-
-    /// Run one rung over `sub` (indices into `items`): the rung spans
-    /// and launch records around `solve` when traced, and the rung's
-    /// device cost (operand upload plus kernel) charged to `out`.
+    /// Run one rung over `sub` (indices into `items`; `out` holds the
+    /// records of the rungs before it): build its operands, solve, record
+    /// the rung spans and the launch when traced, and charge the rung's
+    /// device cost (operand upload plus kernel) to `out`. Traced, the
+    /// iterative rungs bridge per-iteration residuals through the
+    /// solver's logger seam.
     fn run_rung(
         &self,
-        rung: u8,
-        method: &'static str,
+        rung: Rung,
+        tol: f64,
         items: &[BatchItem],
         sub: &[usize],
         out: &mut BatchReport,
-        solve: impl FnOnce() -> Result<BatchSolveReport>,
-    ) -> Result<BatchSolveReport> {
+    ) -> Result<(BatchSolveReport, BatchVectors<f64>)> {
+        let n = self.index.pattern().num_rows();
         let traced = self.tracer.is_enabled();
-        if traced {
-            for &i in sub {
-                self.tracer
-                    .emit(Some(items[i].id), EventKind::RungBegin { rung, method });
+        let (level, method) = (rung.level(), rung.name());
+        let begin = || {
+            if traced {
+                for &i in sub {
+                    self.tracer.emit(
+                        Some(items[i].id),
+                        EventKind::RungBegin {
+                            rung: level,
+                            method,
+                        },
+                    );
+                }
             }
-        }
-        let report = solve()?;
+        };
+        let (report, x) = if rung == Rung::BandedLu {
+            let members = || sub.iter().map(|&i| &items[i]);
+            let a = BatchBanded::from_csr(&csr_batch(self.index.pattern(), members())?)?;
+            let b = stack_rhs(n, members())?;
+            let mut x = BatchVectors::zeros(b.dims());
+            begin();
+            (BatchBandedLu.solve(&self.device, &a, &b, &mut x)?, x)
+        } else {
+            let (a, b) = self.assemble(items, sub)?;
+            let mut x = BatchVectors::zeros(b.dims());
+            for (k, &i) in sub.iter().enumerate() {
+                let start = match out.outcomes.get(i) {
+                    Some(o) => Some(o.x.as_slice()),
+                    None => items[i].guess.as_deref(),
+                };
+                if let Some(g) = start {
+                    x.system_mut(k).copy_from_slice(g);
+                }
+            }
+            begin();
+            let stop = AbsResidual::new(tol);
+            let logger = |k: usize| TraceLogger::new(&self.tracer, items[sub[k]].id, level);
+            macro_rules! solve {
+                ($solver:expr) => {
+                    if traced {
+                        $solver.solve_logged(&self.device, &a, &b, &mut x, logger)
+                    } else {
+                        $solver.solve(&self.device, &a, &b, &mut x)
+                    }
+                };
+            }
+            let report = match rung {
+                Rung::Fused(SolverVariant::Bicgstab) => solve!(BatchBicgstab::new(Jacobi, stop)
+                    .with_max_iters(self.cfg.max_iters)
+                    .with_fused_axpy(true)),
+                Rung::Fused(SolverVariant::PipelinedBicgstab) => {
+                    solve!(PipelinedBicgstab::new(Jacobi, stop).with_max_iters(self.cfg.max_iters))
+                }
+                _ => solve!(BatchGmres::new(Jacobi, stop, self.cfg.gmres_restart)
+                    .with_max_iters(self.cfg.gmres_max_iters)),
+            };
+            (report?, x)
+        };
         let upload = Self::upload_bytes(items, sub);
         if traced {
-            self.trace_launch(sub.len(), upload, &report);
+            self.trace_transfer(upload, Direction::HostToDevice);
+            record_launch(
+                &self.tracer,
+                &self.launch_seq,
+                &self.device,
+                self.shard,
+                n,
+                sub.len(),
+                &report,
+            );
             for (&i, r) in sub.iter().zip(&report.per_system) {
                 self.tracer.emit(
                     Some(items[i].id),
                     EventKind::RungEnd {
-                        rung,
+                        rung: level,
                         method,
                         iterations: r.iterations,
                         residual: r.residual,
@@ -442,7 +511,7 @@ impl LadderEngine {
         out.split
             .add_transfer(&self.device, upload, Direction::HostToDevice);
         out.split.add_kernel(&report);
-        Ok(report)
+        Ok((report, x))
     }
 }
 
@@ -450,126 +519,41 @@ impl SolveEngine for LadderEngine {
     fn solve_batch(&self, items: &[BatchItem]) -> Result<BatchReport> {
         // Chaos seam: the hook sees the fused launch before it happens.
         let ids: Vec<u64> = items.iter().map(|it| it.id).collect();
-        match self.hook.disrupt(&ids) {
-            LaunchDisruption::Proceed => {}
-            LaunchDisruption::DeviceFail { code } => {
-                return Err(Error::DeviceFailure { code });
-            }
-            LaunchDisruption::Panic { reason } => {
-                panic!("{reason}");
-            }
-            LaunchDisruption::Stall(d) => {
-                std::thread::sleep(d);
-            }
-        }
+        consult(&*self.hook, &ids)?;
 
-        let n = self.index.pattern().num_rows();
         let tol = self.effective_tolerance(items);
-        let all: Vec<usize> = (0..items.len()).collect();
-        let method = self.cfg.solver.name();
         let mut out = BatchReport {
             outcomes: Vec::new(),
             sim_time_s: 0.0,
             syncs: 0,
             reductions: 0,
-            solver: method,
+            solver: self.rungs[0].name(),
             split: SimSplit::default(),
         };
-
-        // Rung 1: fused BiCGSTAB over the whole batch.
-        let (a, b) = self.assemble(items, &all)?;
-        let mut x = BatchVectors::zeros(b.dims());
-        for (i, it) in items.iter().enumerate() {
-            if let Some(g) = &it.guess {
-                x.system_mut(i).copy_from_slice(g);
-            }
-        }
-        let report = self.run_rung(1, method, items, &all, &mut out, || {
-            self.run_rung1(tol, &a, &b, &mut x, items)
-        })?;
-        out.outcomes = items
-            .iter()
-            .zip(&report.per_system)
-            .enumerate()
-            .map(|(i, (it, r))| ItemOutcome {
-                id: it.id,
-                x: x.system(i).to_vec(),
-                iterations: r.iterations,
-                residual: r.residual,
-                converged: r.converged,
-                method: SolveMethod::Bicgstab,
-                breakdown: r.breakdown,
-                rungs: vec![RungAttempt {
-                    method: SolveMethod::Bicgstab,
-                    iterations: r.iterations,
-                    residual: r.residual,
-                    converged: r.converged,
-                    breakdown: r.breakdown,
-                }],
-            })
-            .collect();
-
-        let stragglers = |outcomes: &[ItemOutcome]| -> Vec<usize> {
-            outcomes
-                .iter()
-                .enumerate()
-                .filter(|(_, o)| !o.converged)
-                .map(|(i, _)| i)
-                .collect()
-        };
-
-        // Rung 2: restarted GMRES on whatever BiCGSTAB left behind,
-        // warm-started from the (sanitized, finite) BiCGSTAB iterate.
-        let sub = stragglers(&out.outcomes);
-        if self.cfg.enable_gmres && !sub.is_empty() {
-            let (sub_a, sub_b) = self.assemble(items, &sub)?;
-            let mut sub_x = BatchVectors::zeros(sub_b.dims());
-            for (k, &i) in sub.iter().enumerate() {
-                sub_x.system_mut(k).copy_from_slice(&out.outcomes[i].x);
-            }
-            let gmres = BatchGmres::new(Jacobi, AbsResidual::new(tol), self.cfg.gmres_restart)
-                .with_max_iters(self.cfg.gmres_max_iters);
-            let report = self.run_rung(2, "gmres", items, &sub, &mut out, || {
-                if self.tracer.is_enabled() {
-                    gmres.solve_logged(&self.device, &sub_a, &sub_b, &mut sub_x, |k| {
-                        TraceLogger::new(&self.tracer, items[sub[k]].id, 2)
-                    })
-                } else {
-                    gmres.solve(&self.device, &sub_a, &sub_b, &mut sub_x)
+        // One walk over the ladder: the first rung seeds the outcomes,
+        // each later one takes only the systems still unconverged.
+        let mut sub: Vec<usize> = (0..items.len()).collect();
+        for (k, &rung) in self.rungs.iter().enumerate() {
+            if k > 0 {
+                sub = (0..items.len())
+                    .filter(|&i| !out.outcomes[i].converged)
+                    .collect();
+                if sub.is_empty() {
+                    break;
                 }
-            })?;
-            absorb(&mut out.outcomes, &sub, &report, &sub_x, SolveMethod::Gmres);
-        }
-
-        // Rung 3: banded-LU direct solve — always produces a solution
-        // modulo genuine singularity, so a missed iteration cap degrades
-        // to dgbsv cost instead of an error.
-        let sub = stragglers(&out.outcomes);
-        if self.cfg.enable_fallback && !sub.is_empty() {
-            let members = || sub.iter().map(|&i| &items[i]);
-            let banded = BatchBanded::from_csr(&csr_batch(self.index.pattern(), members())?)?;
-            let sub_b = stack_rhs(n, members())?;
-            let mut sub_x = BatchVectors::zeros(sub_b.dims());
-            let report = self.run_rung(3, "banded-lu", items, &sub, &mut out, || {
-                BatchBandedLu.solve(&self.device, &banded, &sub_b, &mut sub_x)
-            })?;
-            absorb(
-                &mut out.outcomes,
-                &sub,
-                &report,
-                &sub_x,
-                SolveMethod::BandedLuFallback,
-            );
+            }
+            let (report, x) = self.run_rung(rung, tol, items, &sub, &mut out)?;
+            if k == 0 {
+                out.outcomes = seed(items, &report, &x, rung.method());
+            } else {
+                absorb(&mut out.outcomes, &sub, &report, &x, rung.method());
+            }
         }
 
         // Download of the solutions, one fused d2h copy for the batch.
-        let download = (items.len() * n * 8) as u64;
+        let download = (items.len() * self.index.pattern().num_rows() * 8) as u64;
         if self.tracer.is_enabled() {
-            self.tracer.emit(
-                None,
-                transfer_event(&self.device, download, Direction::DeviceToHost)
-                    .with_shard(self.shard),
-            );
+            self.trace_transfer(download, Direction::DeviceToHost);
         }
         out.split
             .add_transfer(&self.device, download, Direction::DeviceToHost);
@@ -577,8 +561,65 @@ impl SolveEngine for LadderEngine {
     }
 }
 
+/// Consult a launch hook before a launch: proceed, stall and then
+/// proceed, fail the launch like a device error, or panic the launching
+/// worker.
+pub(crate) fn consult(hook: &dyn LaunchHook, ids: &[u64]) -> Result<()> {
+    match hook.disrupt(ids) {
+        LaunchDisruption::Proceed => Ok(()),
+        LaunchDisruption::DeviceFail { code } => Err(Error::DeviceFailure { code }),
+        LaunchDisruption::Panic { reason } => panic!("{reason}"),
+        LaunchDisruption::Stall(d) => {
+            std::thread::sleep(d);
+            Ok(())
+        }
+    }
+}
+
+/// Record one priced launch of `blocks` systems of `rows` rows on a
+/// device lane: its `KernelLaunch`, then `SyncPoint` and `Reduction`
+/// markers where it paid barriers and reduction trees (direct solvers
+/// pay neither), each tagged with `shard` and the next number of `seq`.
+pub(crate) fn record_launch(
+    tracer: &Tracer,
+    seq: &AtomicU64,
+    device: &DeviceSpec,
+    shard: u32,
+    rows: usize,
+    blocks: usize,
+    report: &BatchSolveReport,
+) {
+    if !tracer.is_enabled() {
+        return;
+    }
+    let seq = seq.fetch_add(1, Ordering::Relaxed);
+    let (solver, kernel) = (report.solver, &report.kernel);
+    let launch = kernel_launch_event(
+        seq,
+        solver,
+        device,
+        blocks,
+        report.shared_per_block,
+        report.global_vector_bytes,
+        report.syncs_per_iteration,
+        kernel,
+    );
+    tracer.emit(None, launch.with_shard(shard));
+    if kernel.syncs > 0 {
+        tracer.emit(
+            None,
+            sync_point_event(seq, solver, kernel).with_shard(shard),
+        );
+    }
+    if kernel.reductions > 0 {
+        let width = (rows * blocks) as u64;
+        let reduction = reduction_event(seq, solver, width, kernel);
+        tracer.emit(None, reduction.with_shard(shard));
+    }
+}
+
 /// The members' CSR values as one batch, each copied straight into its
-/// slab: the banded-LU rung and the CPU pool convert it to banded.
+/// slab: the banded-LU rung converts it to banded.
 pub fn csr_batch<'a>(
     pattern: &Arc<SparsityPattern>,
     members: impl Iterator<Item = &'a BatchItem>,
@@ -600,6 +641,41 @@ pub fn stack_rhs<'a>(
     BatchVectors::from_values(dims, flat)
 }
 
+fn attempt(method: SolveMethod, r: &SystemResult) -> RungAttempt {
+    RungAttempt {
+        method,
+        iterations: r.iterations,
+        residual: r.residual,
+        converged: r.converged,
+        breakdown: r.breakdown,
+    }
+}
+
+/// The outcomes as the first rung left them: its iterate, record and
+/// attempt for every member.
+fn seed(
+    items: &[BatchItem],
+    report: &BatchSolveReport,
+    x: &BatchVectors<f64>,
+    method: SolveMethod,
+) -> Vec<ItemOutcome> {
+    items
+        .iter()
+        .zip(&report.per_system)
+        .enumerate()
+        .map(|(i, (it, r))| ItemOutcome {
+            id: it.id,
+            x: x.system(i).to_vec(),
+            iterations: r.iterations,
+            residual: r.residual,
+            converged: r.converged,
+            method,
+            breakdown: r.breakdown,
+            rungs: vec![attempt(method, r)],
+        })
+        .collect()
+}
+
 /// Fold an escalation rung's results over `sub` into the outcomes: the
 /// attempt is recorded, and a system the rung converged takes its
 /// solution. Iterations add up over the iterative rungs only.
@@ -612,13 +688,7 @@ fn absorb(
 ) {
     for (k, (&i, r)) in sub.iter().zip(&report.per_system).enumerate() {
         let o = &mut outcomes[i];
-        o.rungs.push(RungAttempt {
-            method,
-            iterations: r.iterations,
-            residual: r.residual,
-            converged: r.converged,
-            breakdown: r.breakdown,
-        });
+        o.rungs.push(attempt(method, r));
         if method != SolveMethod::BandedLuFallback {
             o.iterations += r.iterations;
         }

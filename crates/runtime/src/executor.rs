@@ -23,23 +23,23 @@
 //! fused/sequential simulated-time ratio as real speedup.
 //!
 //! The executor threads the same observability seams as the ladder
-//! engine: a [`LaunchHook`] is consulted before every launch (once per
-//! system in sequential mode — a failure there loses only that system's
-//! launch; once for the whole batch in concurrent mode — a failure loses
-//! everything, exactly the blast-radius asymmetry of real devices), and
-//! an attached [`Tracer`] receives one `KernelLaunch` event per launch.
+//! engine, through the same two functions: a [`LaunchHook`] is consulted
+//! before every launch (once per system in sequential mode — a failure
+//! there loses only that system's launch; once for the whole batch in
+//! concurrent mode — a failure loses everything, exactly the
+//! blast-radius asymmetry of real devices), and an attached [`Tracer`]
+//! receives one `KernelLaunch` record per launch.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use batsolv_formats::{BatchMatrix, BatchVectors, SystemSlice};
-use batsolv_gpusim::{
-    kernel_launch_event, reduction_event, sync_point_event, DeviceSpec, LaunchDisruption,
-    LaunchHook, NoDisruption,
-};
+use batsolv_gpusim::{DeviceSpec, LaunchHook, NoDisruption};
 use batsolv_solvers::{BatchSolveReport, IterativeSolver, SystemResult};
 use batsolv_trace::Tracer;
 use batsolv_types::{Error, Result, Scalar};
+
+use crate::dispatcher::{consult, record_launch};
 
 /// How the batch dimension is mapped onto launches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -128,48 +128,10 @@ impl BatchExecutor {
         self.mode
     }
 
-    fn consult_hook(&self, ids: &[u64]) -> Result<()> {
-        match self.hook.disrupt(ids) {
-            LaunchDisruption::Proceed => Ok(()),
-            LaunchDisruption::DeviceFail { code } => Err(Error::DeviceFailure { code }),
-            LaunchDisruption::Panic { reason } => panic!("{reason}"),
-            LaunchDisruption::Stall(d) => {
-                std::thread::sleep(d);
-                Ok(())
-            }
-        }
-    }
-
+    /// Record one launch of `blocks` systems on shard 0's lane.
     fn trace_launch(&self, blocks: usize, rows: usize, report: &BatchSolveReport) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        let seq = self.launch_seq.fetch_add(1, Ordering::Relaxed);
-        self.tracer.emit(
-            None,
-            kernel_launch_event(
-                seq,
-                report.solver,
-                &self.device,
-                blocks,
-                report.shared_per_block,
-                report.global_vector_bytes,
-                report.syncs_per_iteration,
-                &report.kernel,
-            ),
-        );
-        // Marker events for the device lane: where the launch's barriers
-        // and reduction trees sit (direct solvers have none).
-        if report.kernel.syncs > 0 {
-            self.tracer
-                .emit(None, sync_point_event(seq, report.solver, &report.kernel));
-        }
-        if report.kernel.reductions > 0 {
-            self.tracer.emit(
-                None,
-                reduction_event(seq, report.solver, (rows * blocks) as u64, &report.kernel),
-            );
-        }
+        let seq = &self.launch_seq;
+        record_launch(&self.tracer, seq, &self.device, 0, rows, blocks, report);
     }
 
     /// Solve `A_i x_i = b_i` for the whole batch, `x` as initial guess.
@@ -197,7 +159,7 @@ impl BatchExecutor {
 
         match self.mode {
             ExecMode::Concurrent => {
-                self.consult_hook(&ids)?;
+                consult(&*self.hook, &ids)?;
                 let report = solver.solve_batch(&self.device, a, b, x)?;
                 self.trace_launch(dims.num_systems, dims.num_rows, &report);
                 Ok(ExecReport {
@@ -219,7 +181,7 @@ impl BatchExecutor {
                 let mut reductions = 0u64;
                 let mut syncs_per_iteration = 0.0;
                 for i in 0..dims.num_systems {
-                    if let Err(Error::DeviceFailure { .. }) = self.consult_hook(&ids[i..=i]) {
+                    if let Err(Error::DeviceFailure { .. }) = consult(&*self.hook, &ids[i..=i]) {
                         per_system.push(SystemResult {
                             iterations: 0,
                             residual: f64::INFINITY,
@@ -261,6 +223,7 @@ mod tests {
     use std::sync::Arc;
 
     use batsolv_formats::{BatchCsr, BatchEll, SparsityPattern};
+    use batsolv_gpusim::LaunchDisruption;
     use batsolv_solvers::{BatchBicgstab, Jacobi, RelResidual};
     use batsolv_trace::{EventKind, MemorySink};
 

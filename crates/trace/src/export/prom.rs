@@ -1,80 +1,13 @@
-//! Prometheus text-exposition rendering.
+//! Prometheus text-exposition read-back and conformance checks.
 //!
-//! [`PromText`] is a small builder for the `# HELP` / `# TYPE` / sample
-//! line format. It knows nothing about the runtime's stats — the runtime
-//! crate maps its `StatsSnapshot` onto it — so the format lives next to
-//! the other exporters and stays independently testable.
+//! Pages are written by [`MetricsRegistry`](crate::MetricsRegistry);
+//! this module reads them back ([`parse_prom_value`],
+//! [`parse_prom_labeled`]) and checks them against the exposition
+//! contract ([`check_prom_conformance`]), so tests and the repro
+//! experiments can check exporter/snapshot agreement without a real
+//! Prometheus parser.
 
-/// Builder for a Prometheus text-format metrics page.
-#[derive(Debug, Default)]
-pub struct PromText {
-    out: String,
-}
-
-/// Format a sample value the way the exposition format expects
-/// (`NaN`, `+Inf`, `-Inf` are legal sample values in Prometheus text).
-fn format_value(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{v}")
-    }
-}
-
-impl PromText {
-    /// Empty page.
-    pub fn new() -> PromText {
-        PromText::default()
-    }
-
-    /// Write the `# HELP` and `# TYPE` header for a metric family.
-    /// `kind` is `"counter"`, `"gauge"`, or `"histogram"`.
-    pub fn family(&mut self, name: &str, kind: &str, help: &str) -> &mut Self {
-        self.out.push_str(&format!("# HELP {name} {help}\n"));
-        self.out.push_str(&format!("# TYPE {name} {kind}\n"));
-        self
-    }
-
-    /// Write one sample line, with optional labels.
-    pub fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) -> &mut Self {
-        self.out.push_str(name);
-        if !labels.is_empty() {
-            self.out.push('{');
-            for (i, (k, v)) in labels.iter().enumerate() {
-                if i > 0 {
-                    self.out.push(',');
-                }
-                let escaped = v.replace('\\', "\\\\").replace('"', "\\\"");
-                self.out.push_str(&format!("{k}=\"{escaped}\""));
-            }
-            self.out.push('}');
-        }
-        self.out.push(' ');
-        self.out.push_str(&format_value(value));
-        self.out.push('\n');
-        self
-    }
-
-    /// Header plus single unlabeled sample: the common counter shape.
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) -> &mut Self {
-        self.family(name, "counter", help)
-            .sample(name, &[], value as f64)
-    }
-
-    /// Header plus single unlabeled sample: the common gauge shape.
-    pub fn gauge(&mut self, name: &str, help: &str, value: f64) -> &mut Self {
-        self.family(name, "gauge", help).sample(name, &[], value)
-    }
-
-    /// The rendered page.
-    pub fn finish(self) -> String {
-        self.out
-    }
-}
+use crate::metrics::valid_metric_name;
 
 /// Read back the first sample of `name` from a rendered page (label sets
 /// are ignored; `name` must match the metric name exactly). Exists so
@@ -139,18 +72,6 @@ pub fn parse_prom_labeled(text: &str, name: &str, labels: &[(&str, &str)]) -> Op
         };
     }
     None
-}
-
-fn valid_metric_name(name: &str) -> bool {
-    !name.is_empty()
-        && name
-            .chars()
-            .next()
-            .map(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
-            .unwrap_or(false)
-        && name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
 /// Validate a rendered page against the exposition-format contract the
@@ -261,34 +182,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_render_headers_and_samples() {
-        let mut p = PromText::new();
-        p.counter("batsolv_requests_total", "Requests accepted.", 42);
-        p.gauge("batsolv_wait_p99_us", "p99 queue wait.", 1250.5);
-        let page = p.finish();
-        assert!(page.contains("# HELP batsolv_requests_total Requests accepted.\n"));
-        assert!(page.contains("# TYPE batsolv_requests_total counter\n"));
-        assert!(page.contains("batsolv_requests_total 42\n"));
-        assert!(page.contains("batsolv_wait_p99_us 1250.5\n"));
-    }
-
-    #[test]
-    fn labeled_samples_escape_values() {
-        let mut p = PromText::new();
-        p.family("batsolv_outcomes_total", "counter", "Terminal outcomes.")
-            .sample(
-                "batsolv_outcomes_total",
-                &[("outcome", "he said \"no\"")],
-                3.0,
-            );
-        let page = p.finish();
-        assert!(
-            page.contains("batsolv_outcomes_total{outcome=\"he said \\\"no\\\"\"} 3\n"),
-            "{page}"
-        );
-    }
-
-    #[test]
     fn parse_reads_back_plain_and_labeled_values() {
         let page = "# HELP a b\n# TYPE a counter\na 7\nab 9\nc{l=\"x\"} 2.5\nd NaN\n";
         assert_eq!(parse_prom_value(page, "a"), Some(7.0));
@@ -296,13 +189,6 @@ mod tests {
         assert_eq!(parse_prom_value(page, "c"), Some(2.5));
         assert!(parse_prom_value(page, "d").unwrap().is_nan());
         assert_eq!(parse_prom_value(page, "missing"), None);
-    }
-
-    #[test]
-    fn non_finite_values_use_prom_spellings() {
-        let mut p = PromText::new();
-        p.gauge("g", "gauge", f64::INFINITY);
-        assert!(p.finish().contains("g +Inf\n"));
     }
 
     #[test]

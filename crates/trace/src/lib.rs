@@ -57,7 +57,7 @@ pub use event::{json_escape, EventKind, TraceEvent, TraceId};
 pub use export::chrome::chrome_trace;
 pub use export::json::validate_json;
 pub use export::jsonl::{to_jsonl, write_jsonl, JsonlFileSink};
-pub use export::prom::{check_prom_conformance, parse_prom_labeled, parse_prom_value, PromText};
+pub use export::prom::{check_prom_conformance, parse_prom_labeled, parse_prom_value};
 pub use flight::{FlightDump, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use ledger::{
     classify, classify_with_rate, LedgerAggregator, LedgerReport, PhaseLedger, WorkloadClass,

@@ -84,7 +84,7 @@ pub struct MetricsRegistry {
     seen: BTreeSet<String>,
 }
 
-fn valid_metric_name(name: &str) -> bool {
+pub(crate) fn valid_metric_name(name: &str) -> bool {
     let mut chars = name.chars();
     match chars.next() {
         Some(c) if c.is_ascii_alphabetic() || c == '_' || c == ':' => {}
@@ -398,6 +398,7 @@ impl SloWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check_prom_conformance;
 
     #[test]
     fn registry_renders_conformant_families() {
@@ -413,6 +414,36 @@ mod tests {
         assert!(page.contains("depth{shard=\"1\"} 5\n"));
         // One header for the two-depth family, not two.
         assert_eq!(page.matches("# TYPE depth gauge").count(), 1);
+    }
+
+    #[test]
+    fn label_values_escape_quotes_and_backslashes() {
+        let mut m = MetricsRegistry::new();
+        m.counter(
+            "o_total",
+            "Outcomes.",
+            &[("why", "he said \"no\" \\ twice")],
+            3.0,
+        );
+        let page = m.render();
+        assert!(
+            page.contains("o_total{why=\"he said \\\"no\\\" \\\\ twice\"} 3\n"),
+            "{page}"
+        );
+        check_prom_conformance(&page).unwrap();
+    }
+
+    #[test]
+    fn non_finite_samples_use_prom_spellings() {
+        let mut m = MetricsRegistry::new();
+        m.gauge("g", "Gauge.", &[("v", "inf")], f64::INFINITY)
+            .gauge("g", "Gauge.", &[("v", "-inf")], f64::NEG_INFINITY)
+            .gauge("g", "Gauge.", &[("v", "nan")], f64::NAN);
+        let page = m.render();
+        assert!(page.contains("g{v=\"inf\"} +Inf\n"), "{page}");
+        assert!(page.contains("g{v=\"-inf\"} -Inf\n"), "{page}");
+        assert!(page.contains("g{v=\"nan\"} NaN\n"), "{page}");
+        check_prom_conformance(&page).unwrap();
     }
 
     #[test]
